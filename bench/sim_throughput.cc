@@ -20,6 +20,7 @@
 
 #include <cstdio>
 
+#include "driver/point_scheduler.hh"
 #include "svc/bench_registry.hh"
 
 namespace momsim::svc
@@ -48,13 +49,12 @@ makeSimThroughputDef()
     def.print = [](driver::BenchHarness &bench, const ResultSink &all) {
         std::printf("Simulation-kernel throughput (conventional "
                     "hierarchy, RR fetch)\n");
-        // The execution mode this process measured: batched runs
-        // produce byte-identical rows but different wall times, so the
-        // summary row names the mode for cross-run comparison.
-        const int jobs = bench.pool().size();
-        const int batch = bench.options().batch;
-        bench.perWorkload(all, [jobs, batch](const ResultSink &sink,
-                                             const std::string &) {
+        // The worker count this process measured with: rows are
+        // byte-identical at any --jobs but wall times are not, so the
+        // summary row names it for cross-run comparison.
+        const int jobs = bench.runner().scheduler().workers();
+        bench.perWorkload(all, [jobs](const ResultSink &sink,
+                                      const std::string &) {
             std::printf("%-6s %-8s | %12s %9s %10s\n", "isa", "threads",
                         "sim Mcycles", "wall ms", "Mcycles/s");
             std::printf("%s\n", ResultSink::rule(52).c_str());
@@ -73,7 +73,7 @@ makeSimThroughputDef()
                 : 0.0;
             std::printf("%-15s | %12.2f %9.0f %10.2f\n", "aggregate",
                         totalMcycles, totalWallMs, aggregate);
-            std::string mode = strfmt("jobs=%d batch=%d", jobs, batch);
+            std::string mode = strfmt("jobs=%d", jobs);
             std::printf("%-15s | %12s %9s %10.2f\n", mode.c_str(), "",
                         "", aggregate);
         });

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "common/logging.hh"
 #include "svc/bench_registry.hh"
@@ -83,15 +82,6 @@ makeTable2Def()
                               const std::string &) {
             const int n = wl.numPrograms();
 
-            // Trace accounting is embarrassingly parallel: one task per
-            // program, results landing in per-index slots.
-            std::vector<trace::MixSummary> mixes(static_cast<size_t>(n));
-            bench.pool().parallelFor(static_cast<size_t>(n),
-                                     [&](size_t i) {
-                mixes[i] =
-                    wl.program(SimdIsa::Mmx, static_cast<int>(i)).mix();
-            });
-
             std::printf("Table 2: multiprogrammed workload description "
                         "(mix: %s)\n", wl.specName().c_str());
             std::printf("%-10s | %-29s | %-44s | %9s | %7s | %5s\n",
@@ -102,7 +92,9 @@ makeTable2Def()
                         "----------------------\n");
             int copies[workloads::kNumProgramKinds] = {};
             for (int i = 0; i < n; ++i) {
-                const auto &mix = mixes[static_cast<size_t>(i)];
+                // Memoized when the workload was built: a plain read.
+                const trace::MixSummary &mix =
+                    wl.program(SimdIsa::Mmx, i).mix();
                 ProgramKind kind = wl.kind(i);
                 int ordinal = ++copies[static_cast<int>(kind)];
                 std::string profile = profileOf(kind);

@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <vector>
 
 #include "svc/bench_registry.hh"
 
@@ -34,19 +33,7 @@ makeTable3Def()
         // One table per --workload selection (a single one by default).
         bench.perWorkload([&](const MediaWorkload &wl,
                               const std::string &) {
-
-            // Independent trace walks (each program x 2 ISAs) on the
-            // pool.
-            const size_t kN = static_cast<size_t>(wl.numPrograms());
-            std::vector<trace::MixSummary> mixes[2];
-            mixes[0].resize(kN);
-            mixes[1].resize(kN);
-            bench.pool().parallelFor(2 * kN, [&](size_t task) {
-                SimdIsa simd = task < kN ? SimdIsa::Mmx : SimdIsa::Mom;
-                int i = static_cast<int>(task % kN);
-                mixes[task < kN ? 0 : 1][static_cast<size_t>(i)] =
-                    wl.program(simd, i).mix();
-            });
+            const int n = wl.numPrograms();
 
             std::printf("Table 3: instruction breakdown (%%) and "
                         "equivalent instruction count (Kinst; mix: "
@@ -60,9 +47,12 @@ makeTable3Def()
 
             uint64_t totMmx = 0, totMom = 0;
             double mmxIntW = 0, mmxSimdW = 0;
-            for (size_t i = 0; i < kN; ++i) {
-                const auto &mmx = mixes[0][i];
-                const auto &mom = mixes[1][i];
+            for (int i = 0; i < n; ++i) {
+                // Memoized when the workload was built: plain reads.
+                const trace::MixSummary &mmx =
+                    wl.program(SimdIsa::Mmx, i).mix();
+                const trace::MixSummary &mom =
+                    wl.program(SimdIsa::Mom, i).mix();
                 totMmx += mmx.eqInsts;
                 totMom += mom.eqInsts;
                 mmxIntW +=
@@ -71,7 +61,7 @@ makeTable3Def()
                     mmx.simdPct() * static_cast<double>(mmx.eqInsts);
                 std::printf("%-10s | %4.1f/%4.1f/%4.1f/%4.1f %6.0fK "
                             "| %4.1f/%4.1f/%4.1f/%4.1f %6.0fK | %.2f\n",
-                            wl.name(static_cast<int>(i)).c_str(),
+                            wl.name(i).c_str(),
                             100 * mmx.intPct(), 100 * mmx.fpPct(),
                             100 * mmx.simdPct(), 100 * mmx.memPct(),
                             static_cast<double>(mmx.eqInsts) / 1000.0,

@@ -57,7 +57,7 @@ struct RunResult
     /**
      * The run stopped at maxCycles before reaching its completion
      * target. Carried as data (and serialized with every ResultRow)
-     * instead of a stderr warn: warns from pool workers interleave
+     * instead of a stderr warn: warns from scheduler workers interleave
      * nondeterministically and are invisible in CSV/JSON output.
      */
     bool hitCycleLimit = false;
@@ -88,10 +88,10 @@ class Simulation
                   uint64_t maxCycles = 400'000'000ull);
 
     /**
-     * Resumable form of run(), for callers interleaving several
-     * simulations (batched sweep execution): begin() arms the run,
-     * each advance() simulates up to @p cycleBudget further cycles,
-     * and finish() produces the RunResult once advance() reported
+     * Resumable form of run(), for callers stepping a run in slices
+     * (ExperimentRunner::runOne): begin() arms the run, each
+     * advance() simulates up to @p cycleBudget further cycles, and
+     * finish() produces the RunResult once advance() reported
      * completion. The cycle budget only caps the core's idle
      * fast-forward at a nearer horizon, which is byte-identical to an
      * uncapped run by construction — a chunked run produces exactly

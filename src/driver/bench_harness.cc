@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
+#include "driver/point_scheduler.hh"
 #include "driver/result_store.hh"
 #include "workloads/workload_spec.hh"
 
@@ -72,9 +74,6 @@ BenchOptions::flagTable()
     static const std::vector<BenchFlagInfo> table = {
         { "--jobs", "-j", "N",
           "worker threads for the sweep (default: all hardware)" },
-        { "--batch", nullptr, "K",
-          "interleave K consecutive sweep points per worker task "
-          "(default 1); results are byte-identical for any K" },
         { "--quick", nullptr, nullptr,
           "tiny workload scale, for smoke tests and CI" },
         { "--workload", nullptr, "NAME[,NAME...]",
@@ -203,18 +202,8 @@ BenchOptions::parseInto(int argc, char **argv, BenchOptions &out,
             std::strcmp(arg, "-j") == 0) {
             if (!value(i, &v))
                 return false;
-            opts.jobs = std::atoi(v);
-            if (opts.jobs < 1) {
+            if (!parseIntFlag(v, 1, opts.jobs)) {
                 error = strfmt("bad --jobs '%s' (want an integer >= 1)", v);
-                return false;
-            }
-        } else if (std::strcmp(arg, "--batch") == 0) {
-            if (!value(i, &v))
-                return false;
-            opts.batch = std::atoi(v);
-            if (opts.batch < 1) {
-                error = strfmt("bad --batch '%s' (want an integer >= 1)",
-                               v);
                 return false;
             }
         } else if (std::strcmp(arg, "--quick") == 0) {
@@ -222,15 +211,15 @@ BenchOptions::parseInto(int argc, char **argv, BenchOptions &out,
         } else if (std::strcmp(arg, "--seed") == 0) {
             if (!value(i, &v))
                 return false;
-            opts.baseSeed = std::strtoull(v, nullptr, 0);
+            if (!parseU64Flag(v, opts.baseSeed)) {
+                error = strfmt("bad --seed '%s' (want an unsigned "
+                               "integer)", v);
+                return false;
+            }
         } else if (std::strcmp(arg, "--max-cycles") == 0) {
             if (!value(i, &v))
                 return false;
-            char *end = nullptr;
-            opts.maxCycles = std::strtoull(v, &end, 0);
-            // strtoull silently wraps negative input; reject it.
-            if (!end || *end != '\0' || *v == '\0' || *v == '-' ||
-                opts.maxCycles < 1) {
+            if (!parseU64Flag(v, opts.maxCycles) || opts.maxCycles < 1) {
                 error = strfmt("bad --max-cycles '%s' (want an integer "
                                ">= 1)", v);
                 return false;
@@ -356,7 +345,7 @@ BenchOptions::parse(int argc, char **argv,
 }
 
 BenchHarness::BenchHarness(const BenchOptions &opts, std::string name)
-    : _opts(opts), _name(std::move(name)), _pool(opts.jobs),
+    : _opts(opts), _name(std::move(name)),
       _repo(opts.quick ? workloads::WorkloadScale::Tiny
                        : workloads::WorkloadScale::Paper),
       _workloadNames(opts.workloads.empty()
@@ -398,8 +387,9 @@ ExperimentRunner &
 BenchHarness::runner()
 {
     if (!_runner) {
-        _runner = std::make_unique<ExperimentRunner>(_repo, _pool);
-        _runner->setBatchSize(_opts.batch);
+        _sched = std::make_unique<PointScheduler>(
+            PointScheduler::Config { _opts.jobs });
+        _runner = std::make_unique<ExperimentRunner>(_repo, *_sched);
     }
     return *_runner;
 }
@@ -429,15 +419,13 @@ BenchHarness::run(const SweepGrid &grid)
 
     // Every workload of the grid participates in the plan keys, so all
     // of them must exist before planning; distinct specs synthesize
-    // concurrently on the pool.
-    std::vector<std::string> toBuild = _repo.missing(_lastWorkloads);
-    if (!toBuild.empty()) {
+    // concurrently.
+    const size_t toBuild = _repo.missing(_lastWorkloads).size();
+    if (toBuild != 0) {
         std::fprintf(stderr, "[bench] building %zu workload(s) at %s "
-                             "scale (both ISAs)...\n", toBuild.size(),
+                             "scale (both ISAs)...\n", toBuild,
                      _opts.quick ? "tiny" : "paper");
-        _pool.parallelFor(toBuild.size(), [this, &toBuild](size_t i) {
-            _repo.get(toBuild[i]);
-        });
+        _repo.prebuild(_lastWorkloads, _opts.jobs);
         std::fprintf(stderr, "[bench] workloads ready\n");
     }
 
@@ -472,7 +460,7 @@ BenchHarness::run(const SweepGrid &grid)
     std::fprintf(stderr,
                  "[bench] %zu experiments on %d worker(s); "
                  "serial cost %.0f ms\n",
-                 sink.size(), _pool.size(), sink.totalWallMs());
+                 sink.size(), _sched->workers(), sink.totalWallMs());
     if (!_opts.csvPath.empty()) {
         if (!sink.writeCsv(_opts.csvPath))
             fatal("cannot write CSV to " + _opts.csvPath);

@@ -29,11 +29,13 @@
  *
  * The harness owns a WorkloadRepo (at the scale --quick selects) that
  * builds each selected workload lazily, once, sharing it across every
- * sweep point; distinct workloads build concurrently on the pool. It
- * plans every sweep through the result store (see result_store.hh)
- * and hands benches an ExperimentRunner. All harness chatter goes to
- * stderr so stdout stays byte-comparable across --jobs / --cache-dir /
- * shard-and-merge settings.
+ * sweep point; distinct workloads build concurrently on up to --jobs
+ * threads. It plans every sweep through the result store (see
+ * result_store.hh) and executes it with an ExperimentRunner on a
+ * --jobs-worker PointScheduler — the engine SimService runs requests
+ * on. All harness chatter goes to stderr so stdout stays
+ * byte-comparable across --jobs / --cache-dir / shard-and-merge
+ * settings.
  */
 
 #ifndef MOMSIM_DRIVER_BENCH_HARNESS_HH
@@ -68,7 +70,6 @@ struct BenchFlagInfo
 struct BenchOptions
 {
     int jobs = 0;               ///< 0 => hardware concurrency
-    int batch = 1;              ///< sweep points interleaved per task
     bool quick = false;
     bool dryRun = false;
     bool listWorkloads = false; ///< print the registry and exit
@@ -158,7 +159,7 @@ class BenchHarness
     /** The workload cache (Paper scale normally, Tiny under --quick). */
     workloads::WorkloadRepo &repo() { return _repo; }
 
-    ThreadPool &pool() { return _pool; }
+    /** The sweep engine (created, with its workers, on first use). */
     ExperimentRunner &runner();
 
     /**
@@ -204,11 +205,12 @@ class BenchHarness
     }
 
     /**
-     * For benches with no sweep stage (table2/table3, which drive the
-     * pool directly). Call before doing any work: --dry-run prints an
-     * empty plan and exits immediately, and shard/cache/merge flags
-     * draw an upfront no-effect warning instead of N shard processes
-     * silently redoing 100% of the work each.
+     * For benches with no sweep stage (table2/table3, which read the
+     * workload's traces directly). Call before doing any work:
+     * --dry-run prints an empty plan and exits immediately, and
+     * shard/cache/merge flags draw an upfront no-effect warning
+     * instead of N shard processes silently redoing 100% of the work
+     * each.
      */
     void declareNoSweep();
 
@@ -224,10 +226,10 @@ class BenchHarness
 
     BenchOptions _opts;
     std::string _name;
-    ThreadPool _pool;
     workloads::WorkloadRepo _repo;
     std::vector<std::string> _workloadNames;
     std::vector<std::string> _lastWorkloads;    ///< last run() grid axis
+    std::unique_ptr<PointScheduler> _sched;
     std::unique_ptr<ExperimentRunner> _runner;
     bool _ranSweep = false;
 };

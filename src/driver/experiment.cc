@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "common/logging.hh"
+#include "common/thread_annotations.hh"
 #include "core/simulation.hh"
 #include "driver/point_scheduler.hh"
 #include "driver/result_store.hh"
@@ -169,243 +171,62 @@ SweepGrid::expand(uint64_t baseSeed) const
 ResultRow
 ExperimentRunner::runOne(const ExperimentSpec &spec) const
 {
-    return runBatch({ &spec }).front();
-}
-
-std::vector<ResultRow>
-ExperimentRunner::runBatch(
-    const std::vector<const ExperimentSpec *> &specs) const
-{
-    return runSpecBatch(_repo, specs);
-}
-
-std::vector<ResultRow>
-runSpecBatch(workloads::WorkloadRepo &repo,
-             const std::vector<const ExperimentSpec *> &specs)
-{
-    MOMSIM_ASSERT(!specs.empty(), "empty batch");
     using clock = std::chrono::steady_clock;
-    constexpr uint64_t kBatchQuantumCycles =
-        ExperimentRunner::kBatchQuantumCycles;
+    // Setup wall time (workload lookup, machine construction) counts
+    // toward the row; the simulation loop self-measures in advance().
+    const auto start = clock::now();
 
-    // Construct every machine up front, then arm the runs. The
-    // per-spec setup wall time is attributed to that spec's row; the
-    // interleaved simulation time is self-measured per advance() by
-    // each Simulation.
-    struct Active
-    {
-        std::shared_ptr<const workloads::MediaWorkload> workload;
-        std::unique_ptr<core::Simulation> sim;
-        double setupMs = 0.0;
-    };
-    std::vector<Active> act(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-        const ExperimentSpec &spec = *specs[i];
-        auto start = clock::now();
+    cpu::CoreConfig cfg =
+        cpu::CoreConfig::preset(spec.threads, spec.simd, spec.policy);
+    if (spec.tweakCore)
+        spec.tweakCore(cfg);
 
-        cpu::CoreConfig cfg =
-            cpu::CoreConfig::preset(spec.threads, spec.simd, spec.policy);
-        if (spec.tweakCore)
-            spec.tweakCore(cfg);
+    mem::MemConfig memCfg;
+    if (spec.tweakMem)
+        spec.tweakMem(memCfg);
 
-        mem::MemConfig memCfg;
-        if (spec.tweakMem)
-            spec.tweakMem(memCfg);
-
-        act[i].workload = repo.get(spec.workload);
-        act[i].sim = std::make_unique<core::Simulation>(
-            cfg, spec.memModel, act[i].workload->rotation(spec.simd),
-            memCfg);
-        act[i].sim->begin(spec.targetCompletions, spec.maxCycles);
-        act[i].setupMs = std::chrono::duration<double, std::milli>(
-                             clock::now() - start)
-                             .count();
+    std::shared_ptr<const workloads::MediaWorkload> workload =
+        _repo.get(spec.workload);
+    auto sim = std::make_unique<core::Simulation>(
+        cfg, spec.memModel, workload->rotation(spec.simd), memCfg);
+    sim->begin(spec.targetCompletions, spec.maxCycles);
+    const double setupMs =
+        std::chrono::duration<double, std::milli>(clock::now() - start)
+            .count();
+    while (!sim->advance(kBatchQuantumCycles)) {
     }
+    core::RunResult run = sim->finish();
 
-    // Round-robin the runs in fixed cycle quanta until all complete.
-    // The machines are fully independent — interleaving only changes
-    // which simulation the worker touches next, never what any of
-    // them computes, so each row is byte-identical to a solo run.
-    size_t live = 0;
-    for (const Active &a : act)
-        live += a.sim->done() ? 0 : 1;
-    while (live > 0) {
-        for (Active &a : act) {
-            if (a.sim->done())
-                continue;
-            if (a.sim->advance(kBatchQuantumCycles))
-                live -= 1;
-        }
-    }
-
-    std::vector<ResultRow> rows(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-        const ExperimentSpec &spec = *specs[i];
-        core::RunResult run = act[i].sim->finish();
-        ResultRow row;
-        row.id = spec.id.empty() ? spec.canonicalId() : spec.id;
-        row.workload = spec.workload;
-        row.simd = spec.simd;
-        row.threads = spec.threads;
-        row.memModel = spec.memModel;
-        row.policy = spec.policy;
-        row.variant = spec.variant;
-        row.seed = spec.seed;
-        row.run = run;
-        row.headline = ResultSink::headlineOf(run, spec.simd);
-        row.wallMs = act[i].setupMs + run.wallMs;
-        rows[i] = std::move(row);
-    }
-    return rows;
-}
-
-void
-ExperimentRunner::prebuildWorkloads(const std::vector<std::string> &names)
-{
-    // Distinct missing specs synthesize concurrently on the pool;
-    // without this, the first sweep point for each workload would
-    // build it serially inside runOne.
-    std::vector<std::string> todo = _repo.missing(names);
-    _pool.parallelFor(todo.size(),
-                      [this, &todo](size_t i) { _repo.get(todo[i]); });
-}
-
-ResultSink
-ExperimentRunner::run(const std::vector<ExperimentSpec> &specs)
-{
-    std::vector<std::string> names;
-    names.reserve(specs.size());
-    for (const ExperimentSpec &spec : specs)
-        names.push_back(spec.workload);
-    prebuildWorkloads(names);
-
-    std::vector<double> costs(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i)
-        costs[i] = specCost(specs[i],
-                            _repo.get(specs[i].workload)->numPrograms());
-
-    // Deal ceil(n/K) groups of K consecutive points to the pool; each
-    // group's cost is the sum of its members' so the LPT deal stays
-    // balanced. K == 1 degenerates to one task per point.
-    const size_t k = static_cast<size_t>(_batchSize);
-    const size_t groups = (specs.size() + k - 1) / k;
-    std::vector<double> groupCosts(groups, 0.0);
-    for (size_t i = 0; i < specs.size(); ++i)
-        groupCosts[i / k] += costs[i];
-
-    std::vector<ResultRow> rows(specs.size());
-    _pool.parallelFor(groups, groupCosts,
-                      [this, k, &specs, &rows](size_t g) {
-                          size_t lo = g * k;
-                          size_t hi = std::min(specs.size(), lo + k);
-                          std::vector<const ExperimentSpec *> batch;
-                          batch.reserve(hi - lo);
-                          for (size_t i = lo; i < hi; ++i)
-                              batch.push_back(&specs[i]);
-                          std::vector<ResultRow> out = runBatch(batch);
-                          for (size_t i = lo; i < hi; ++i)
-                              rows[i] = std::move(out[i - lo]);
-                      });
-
-    ResultSink sink;
-    for (ResultRow &row : rows)
-        sink.append(std::move(row));
-    return sink;
-}
-
-ResultSink
-ExperimentRunner::run(const SweepGrid &grid, uint64_t baseSeed)
-{
-    return run(grid.expand(baseSeed));
+    ResultRow row;
+    row.id = spec.id.empty() ? spec.canonicalId() : spec.id;
+    row.workload = spec.workload;
+    row.simd = spec.simd;
+    row.threads = spec.threads;
+    row.memModel = spec.memModel;
+    row.policy = spec.policy;
+    row.variant = spec.variant;
+    row.seed = spec.seed;
+    row.run = run;
+    row.headline = ResultSink::headlineOf(run, spec.simd);
+    row.wallMs = setupMs + run.wallMs;
+    return row;
 }
 
 ResultSink
 ExperimentRunner::run(const RunPlan &plan, ResultStore *store,
                       const RowFn &onRow)
 {
-    std::vector<size_t> todo;
-    std::vector<double> costs;
-    std::vector<std::string> names;
-    for (size_t i = 0; i < plan.points.size(); ++i) {
-        const PlannedPoint &p = plan.points[i];
-        if (p.shard == plan.shardIndex && !p.cached) {
-            todo.push_back(i);
-            costs.push_back(p.cost);
-            names.push_back(p.spec.workload);
-        }
-    }
-    // Only the workloads this shard actually simulates are built; a
-    // fully-cached re-run synthesizes nothing at all.
-    prebuildWorkloads(names);
-
-    // Deal ceil(n/K) groups of K consecutive misses to the pool (K ==
-    // 1 degenerates to one task per point); groups carry summed costs
-    // so the LPT deal stays balanced.
-    const size_t k = static_cast<size_t>(_batchSize);
-    const size_t groups = (todo.size() + k - 1) / k;
-    std::vector<double> groupCosts(groups, 0.0);
-    for (size_t i = 0; i < todo.size(); ++i)
-        groupCosts[i / k] += costs[i];
-
-    // Persist each row the moment its batch finishes (not after the
-    // whole sweep): an interrupted multi-hour run then resumes from
-    // its last completed point instead of from scratch. The store is
-    // not thread-safe, so puts serialize through a mutex.
-    momsim::Mutex storeMutex;
-    std::vector<ResultRow> fresh(todo.size());
-    _pool.parallelFor(groups, groupCosts,
-                      [this, k, &plan, &todo, &fresh, store, &onRow,
-                       &storeMutex](size_t g) {
-                          size_t lo = g * k;
-                          size_t hi = std::min(todo.size(), lo + k);
-                          std::vector<const ExperimentSpec *> batch;
-                          batch.reserve(hi - lo);
-                          for (size_t i = lo; i < hi; ++i)
-                              batch.push_back(&plan.points[todo[i]].spec);
-                          std::vector<ResultRow> out = runBatch(batch);
-                          for (size_t i = lo; i < hi; ++i) {
-                              if (store || onRow) {
-                                  MutexLock lock(storeMutex);
-                                  if (store)
-                                      store->put(plan.points[todo[i]].key,
-                                                 out[i - lo]);
-                                  if (onRow)
-                                      onRow(plan.points[todo[i]],
-                                            out[i - lo]);
-                              }
-                              fresh[i] = std::move(out[i - lo]);
-                          }
-                      });
-
-    // Splice in sweep order: cached rows verbatim, fresh rows from the
-    // pool.
-    ResultSink sink;
-    size_t next = 0;
-    for (const PlannedPoint &p : plan.points) {
-        if (p.shard != plan.shardIndex)
-            continue;
-        if (p.cached) {
-            sink.append(p.row);
-        } else {
-            sink.append(std::move(fresh[next]));
-            ++next;
-        }
-    }
-    return sink;
-}
-
-ResultSink
-runPlanOnScheduler(PointScheduler &sched, workloads::WorkloadRepo &repo,
-                   const RunPlan &plan, int batchSize,
-                   ResultStore *store,
-                   const ExperimentRunner::RowFn &onRow)
-{
+    // This shard's misses, heaviest first; the stable sort keeps equal
+    // costs in sweep order, so the add() order is deterministic.
     std::vector<size_t> todo;
     for (size_t i = 0; i < plan.points.size(); ++i) {
         const PlannedPoint &p = plan.points[i];
         if (p.shard == plan.shardIndex && !p.cached)
             todo.push_back(i);
     }
+    std::stable_sort(todo.begin(), todo.end(), [&plan](size_t a, size_t b) {
+        return plan.points[a].cost > plan.points[b].cost;
+    });
 
     // Deliveries run on scheduler workers (several rows of this
     // request may complete concurrently) — one mutex preserves the
@@ -413,38 +234,40 @@ runPlanOnScheduler(PointScheduler &sched, workloads::WorkloadRepo &repo,
     // the moment it completes. Rows the request did not simulate
     // itself (joins, memory-cache replays) pass through here too, so
     // a request-private --cache-dir still ends up complete.
-    std::vector<ResultRow> fresh(todo.size());
+    std::vector<ResultRow> fresh(plan.points.size());
     momsim::Mutex deliverMutex;
     PointScheduler::Request request(
-        sched,
-        [&repo](const std::vector<const ExperimentSpec *> &specs) {
-            return runSpecBatch(repo, specs);
+        _sched,
+        [this](const std::vector<const ExperimentSpec *> &specs) {
+            std::vector<ResultRow> rows;
+            for (const ExperimentSpec *spec : specs)
+                rows.push_back(runOne(*spec));
+            return rows;
         },
         [&](size_t slot, const ResultRow &row) {
+            const size_t i = todo[slot];
             MutexLock lock(deliverMutex);
             if (store)
-                store->put(plan.points[todo[slot]].key, row);
+                store->put(plan.points[i].key, row);
             if (onRow)
-                onRow(plan.points[todo[slot]], row);
-            fresh[slot] = row;
-        },
-        batchSize);
+                onRow(plan.points[i], row);
+            fresh[i] = row;
+        });
     for (size_t i : todo)
         request.add(plan.points[i].spec, plan.points[i].key);
     request.wait();
 
-    // Splice in sweep order, exactly like the pool path above.
+    // Splice in sweep order: cached rows verbatim, fresh rows as
+    // delivered.
     ResultSink sink;
-    size_t next = 0;
-    for (const PlannedPoint &p : plan.points) {
+    for (size_t i = 0; i < plan.points.size(); ++i) {
+        const PlannedPoint &p = plan.points[i];
         if (p.shard != plan.shardIndex)
             continue;
-        if (p.cached) {
+        if (p.cached)
             sink.append(p.row);
-        } else {
-            sink.append(std::move(fresh[next]));
-            ++next;
-        }
+        else
+            sink.append(std::move(fresh[i]));
     }
     return sink;
 }

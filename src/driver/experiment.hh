@@ -1,16 +1,17 @@
 /**
  * @file
  * Declarative experiment sweeps over the simulator's configuration
- * space, executed by the work-stealing thread pool.
+ * space, executed on the PointScheduler.
  *
  * The paper's figures and tables are all cartesian sweeps over the same
  * axes — workload mix, µ-SIMD extension, hardware thread count, memory
  * hierarchy and fetch policy — sometimes crossed with ad-hoc parameter
  * variants (Table 1's window sizes, the memory-system ablation).
  * SweepGrid captures that shape declaratively; ExperimentRunner
- * executes every point of the expansion concurrently and delivers the
- * results in sweep order, so a `--jobs 1` and a `--jobs N` run of the
- * same grid are indistinguishable byte for byte.
+ * executes every point of a planned expansion concurrently and
+ * delivers the results in sweep order, so a `--jobs 1` and a
+ * `--jobs N` run of the same grid are indistinguishable byte for
+ * byte.
  *
  * Workloads are a first-class axis: each spec names a registry
  * workload ("paper" by default) and the runner resolves it through a
@@ -33,13 +34,13 @@
 
 #include "cpu/core_config.hh"
 #include "driver/result_sink.hh"
-#include "driver/thread_pool.hh"
 #include "mem/hierarchy.hh"
 #include "workloads/workload_repo.hh"
 
 namespace momsim::driver
 {
 
+class PointScheduler;
 class ResultStore;
 struct PlannedPoint;
 struct RunPlan;
@@ -142,40 +143,27 @@ class SweepGrid
 };
 
 /**
- * Executes spec lists by resolving each spec's workload through a
- * shared WorkloadRepo and running one independent Simulation per spec
- * on a ThreadPool. Distinct workloads named by a spec list are built
- * concurrently on the pool before the sweep proper starts; the sweep's
- * pool deal is cost-ordered (specCost) so the expensive points start
- * first and the tail stays short.
- *
- * With setBatchSize(K > 1) the runner groups K consecutive sweep
- * points into one worker task and interleaves their simulations in
- * fixed cycle quanta (runBatch), amortizing per-point task overhead
- * and keeping the kernel's hot columns resident across points — most
- * effective for sweeps dominated by cheap low-thread-count points.
- * Results are byte-identical to unbatched execution for any K: each
- * Simulation is an independent machine, and chunked advance() is
- * byte-identical to an uncapped run by construction.
+ * The one sweep engine: executes a RunPlan's cache misses on a shared
+ * PointScheduler, resolving each spec's workload through a
+ * WorkloadRepo, and splices cached and fresh rows back in sweep order.
+ * The CLI harness, SimService and the fabric worker all run sweeps
+ * through it, so every entry point shares one tail policy: misses are
+ * queued heaviest-first by PlannedPoint::cost (longest processing time
+ * first), which keeps the last worker from starting an expensive point
+ * just as the others go idle.
  */
 class ExperimentRunner
 {
   public:
-    ExperimentRunner(workloads::WorkloadRepo &repo, ThreadPool &pool)
-        : _repo(repo), _pool(pool)
+    ExperimentRunner(workloads::WorkloadRepo &repo, PointScheduler &sched)
+        : _repo(repo), _sched(sched)
     {}
 
-    /** Run every spec; rows arrive in the sink in spec order. */
-    ResultSink run(const std::vector<ExperimentSpec> &specs);
-
-    /** Convenience: expand the grid, then run it. */
-    ResultSink run(const SweepGrid &grid, uint64_t baseSeed = 0);
-
     /**
-     * Per-completion callback of the RunPlan overload: fired once per
-     * freshly simulated row, serialized (under the same lock as store
-     * puts) but in completion order, not sweep order. The fabric
-     * worker streams rows back to its coordinator from here.
+     * Per-completion callback of run(): fired once per non-disk-cached
+     * row, serialized (under the same lock as store puts) but in
+     * completion order, not sweep order. The fabric worker streams
+     * rows back to its coordinator from here.
      */
     using RowFn =
         std::function<void(const PlannedPoint &, const ResultRow &)>;
@@ -183,46 +171,39 @@ class ExperimentRunner
     /**
      * Execute a RunPlan (see result_store.hh): simulate only this
      * shard's cache misses, splice cached rows back in sweep order,
-     * and persist freshly simulated rows to @p store when given. The
-     * sink holds exactly this shard's points — for an unsharded plan
-     * that is the whole sweep, byte-identical to run(specs).
+     * and persist every row the scheduler delivers to @p store when
+     * given — the moment it completes, so an interrupted multi-hour
+     * run resumes from its last completed point. The sink holds
+     * exactly this shard's points.
+     *
+     * Rows another request simulated (singleflight joins) and memory-
+     * cache replays flow through the same path, so @p store still ends
+     * up holding every row this plan claims to have produced and
+     * @p onRow still fires once per non-disk-cached point.
+     *
+     * The plan must have been built against this runner's repo
+     * (planSweep's fingerprinting already built every workload the
+     * specs name).
      */
     ResultSink run(const RunPlan &plan, ResultStore *store = nullptr,
                    const RowFn &onRow = nullptr);
 
-    /** Execute one spec on the calling thread. */
+    /**
+     * Execute one spec on the calling thread: arm the Simulation, then
+     * advance it in kBatchQuantumCycles slices until it completes.
+     * Slicing is byte-identical to one uncapped run; the scheduler's
+     * workers run exactly this loop.
+     */
     ResultRow runOne(const ExperimentSpec &spec) const;
 
-    /**
-     * Execute several specs on the calling thread, interleaved in
-     * kBatchQuantumCycles slices. Row i corresponds to spec i; every
-     * row is byte-identical to what runOne would produce. (Delegates
-     * to the free runSpecBatch(), which the point scheduler's exec
-     * hook uses directly.)
-     */
-    std::vector<ResultRow>
-    runBatch(const std::vector<const ExperimentSpec *> &specs) const;
-
-    /**
-     * Group @p k consecutive sweep points per worker task (default 1 =
-     * classic one-task-per-point execution). Values < 1 clamp to 1.
-     */
-    void setBatchSize(int k) { _batchSize = k < 1 ? 1 : k; }
-    int batchSize() const { return _batchSize; }
-
-    /** The interleave slice of batched execution, in cycles. */
+    /** The advance() slice of runOne, in cycles. */
     static constexpr uint64_t kBatchQuantumCycles = 32768;
 
-    ThreadPool &pool() { return _pool; }
-    workloads::WorkloadRepo &repo() { return _repo; }
+    PointScheduler &scheduler() { return _sched; }
 
   private:
-    /** Build every distinct workload the specs name, on the pool. */
-    void prebuildWorkloads(const std::vector<std::string> &names);
-
     workloads::WorkloadRepo &_repo;
-    ThreadPool &_pool;
-    int _batchSize = 1;
+    PointScheduler &_sched;
 };
 
 /**
@@ -242,45 +223,6 @@ void applyRunSelection(SweepGrid &grid,
 
 /** SplitMix64 step — the seed-derivation primitive used by SweepGrid. */
 uint64_t mixSeed(uint64_t base, const std::string &key);
-
-/**
- * The batched-execution core of ExperimentRunner::runBatch as a free
- * function: construct every machine, interleave the runs in
- * kBatchQuantumCycles slices, return row i for spec i. Thread-safe for
- * concurrent callers (the repo's get() is); this is the exec hook the
- * PointScheduler workers run.
- */
-std::vector<ResultRow>
-runSpecBatch(workloads::WorkloadRepo &repo,
-             const std::vector<const ExperimentSpec *> &specs);
-
-class PointScheduler;
-
-/**
- * Execute a RunPlan through the shared PointScheduler instead of a
- * private ThreadPool: this shard's cache misses are add()ed as one
- * scheduler request (grouped @p batchSize consecutive points per
- * worker task), rows land back via the request's deliver hook — which
- * also persists each row to @p store and fires @p onRow, serialized,
- * the moment it completes — and the sink splices cached + fresh rows
- * in sweep order, byte-identical to ExperimentRunner::run(plan, ...).
- *
- * Rows another request simulated (singleflight joins) and memory-cache
- * replays flow through the same deliver hook, so @p store still ends
- * up holding every row this plan claims to have produced and @p onRow
- * still fires once per non-disk-cached point.
- *
- * The plan must have been built against @p repo (planSweep's
- * fingerprinting already built every workload the specs name, so
- * scheduler workers never race a first-time build... they would be
- * safe anyway: WorkloadRepo::get is thread-safe).
- */
-ResultSink runPlanOnScheduler(PointScheduler &sched,
-                              workloads::WorkloadRepo &repo,
-                              const RunPlan &plan, int batchSize,
-                              ResultStore *store = nullptr,
-                              const ExperimentRunner::RowFn &onRow =
-                                  nullptr);
 
 } // namespace momsim::driver
 

@@ -29,24 +29,21 @@ struct PendingPoint
 } // namespace
 
 /**
- * Mutable request fields (nextSlot, open, queue, undelivered, error)
- * are guarded by the owning PointSchedulerState's mutex. That guard is
- * not expressible as a GUARDED_BY here — the capability lives on
- * another object — so the scheduler's REQUIRES-annotated sections are
- * where the analysis enforces it; exec/deliver/batchSize are
- * set once at registration and immutable after.
+ * Mutable request fields (nextSlot, queue, undelivered, error) are
+ * guarded by the owning PointSchedulerState's mutex. That guard is not
+ * expressible as a GUARDED_BY here — the capability lives on another
+ * object — so the scheduler's REQUIRES-annotated sections are where
+ * the analysis enforces it; exec/deliver are set once at registration
+ * and immutable after.
  */
 struct PointRequestState
 {
     PointScheduler::ExecFn exec;
     PointScheduler::DeliverFn deliver;
-    size_t batchSize = 1;
     size_t nextSlot = 0;
 
-    /** The accumulating partial group (< batchSize points). */
-    std::vector<PendingPoint> open;
-    /** Sealed task groups awaiting a worker, oldest first. */
-    std::deque<std::vector<PendingPoint>> queue;
+    /** Points awaiting a worker, in add() order. */
+    std::deque<PendingPoint> queue;
     /** Points added but not yet delivered or failed. */
     size_t undelivered = 0;
     /** First execution failure; rethrown from wait(). */
@@ -67,7 +64,7 @@ struct PointSchedulerState
     {}
 
     Mutex mutex;
-    CondVar workCv;                     ///< workers: "a group is queued"
+    CondVar workCv;                     ///< workers: "a point is queued"
     CondVar doneCv;                     ///< requests: "a delivery landed"
 
     std::vector<std::shared_ptr<PointRequestState>> active
@@ -177,13 +174,11 @@ PointScheduler::noteDiskCacheHits(uint64_t n)
 }
 
 std::shared_ptr<PointRequestState>
-PointScheduler::registerRequest(ExecFn exec, DeliverFn deliver,
-                                int batchSize)
+PointScheduler::registerRequest(ExecFn exec, DeliverFn deliver)
 {
     auto req = std::make_shared<PointRequestState>();
     req->exec = std::move(exec);
     req->deliver = std::move(deliver);
-    req->batchSize = batchSize < 1 ? 1 : static_cast<size_t>(batchSize);
     MutexLock lock(_state->mutex);
     _state->active.push_back(req);
     _state->counters.requestsStarted += 1;
@@ -218,13 +213,9 @@ PointScheduler::addPoint(const std::shared_ptr<PointRequestState> &req,
         } else {
             _state->inflight.emplace(key,
                                      PointSchedulerState::Inflight {});
-            req->open.push_back(PendingPoint { &spec, key, slot });
+            req->queue.push_back(PendingPoint { &spec, key, slot });
             req->undelivered += 1;
-            if (req->open.size() >= req->batchSize) {
-                req->queue.push_back(std::move(req->open));
-                req->open.clear();
-                _state->workCv.notify_one();
-            }
+            _state->workCv.notify_one();
             return;
         }
     }
@@ -235,20 +226,17 @@ void
 PointScheduler::waitRequest(const std::shared_ptr<PointRequestState> &req)
 {
     MutexLock lock(_state->mutex);
-    if (!req->open.empty()) {
-        req->queue.push_back(std::move(req->open));
-        req->open.clear();
-        _state->workCv.notify_one();
-    }
     while (req->undelivered != 0)
         _state->doneCv.wait(_state->mutex);
 
+    // Leave the rotation without skipping anyone: removing an entry
+    // before the cursor shifts the request it names down one slot.
     auto &active = _state->active;
-    active.erase(std::remove(active.begin(), active.end(), req),
-                 active.end());
-    if (!active.empty())
-        _state->cursor %= active.size();
-    else
+    const auto pos = std::find(active.begin(), active.end(), req);
+    if (static_cast<size_t>(pos - active.begin()) < _state->cursor)
+        _state->cursor -= 1;
+    active.erase(pos);
+    if (_state->cursor >= active.size())
         _state->cursor = 0;
     _state->counters.activeRequests = static_cast<int>(active.size());
 
@@ -271,7 +259,7 @@ PointScheduler::workerLoop()
             return;
 
         // Fair dispatch: scan the active requests round-robin from the
-        // rotating cursor and take ONE group from the first that has
+        // rotating cursor and take ONE point from the first that has
         // work — so every active request gets a worker within one
         // rotation, regardless of how deep any single request's queue
         // is.
@@ -287,87 +275,61 @@ PointScheduler::workerLoop()
         }
         if (!req)
             continue;       // raced another worker; re-wait
-        std::vector<PendingPoint> group = std::move(req->queue.front());
+        PendingPoint point = std::move(req->queue.front());
         req->queue.pop_front();
         lock.unlock();
 
-        std::vector<const ExperimentSpec *> specs;
-        specs.reserve(group.size());
-        for (const PendingPoint &p : group)
-            specs.push_back(p.spec);
-
-        std::vector<ResultRow> rows;
+        ResultRow row;
         std::exception_ptr error;
         try {
-            rows = req->exec(specs);
-            if (rows.size() != specs.size())
+            std::vector<ResultRow> rows = req->exec({ point.spec });
+            if (rows.size() != 1)
                 throw std::runtime_error(
                     "point scheduler: exec returned wrong row count");
+            row = std::move(rows.front());
         } catch (...) {
             error = std::current_exception();
         }
 
-        // Resolve every point of the group under the lock: publish to
-        // the LRU, collect the owner + joiner deliveries, and retire
-        // the in-flight entries — then run the delivery callbacks
-        // outside the lock.
-        struct Delivery
-        {
-            std::shared_ptr<PointRequestState> req;
-            size_t slot;
-            size_t rowIdx;
-        };
-        std::vector<Delivery> deliveries;
+        // Resolve the point under the lock: retire the in-flight entry,
+        // collect the owner + joiners, publish to the LRU — then run
+        // the delivery callbacks outside the lock.
         lock.lock();
-        if (!error)
-            s.counters.pointsSimulated += group.size();
-        for (size_t i = 0; i < group.size(); ++i) {
-            if (!error) {
-                s.lruInsertLocked(group[i].key, rows[i]);
-                deliveries.push_back(
-                    Delivery { req, group[i].slot, i });
-            }
-            auto it = s.inflight.find(group[i].key);
-            MOMSIM_ASSERT(it != s.inflight.end(),
-                          "executed point missing from inflight map");
-            for (auto &joiner : it->second.joiners) {
-                if (!error) {
-                    deliveries.push_back(Delivery { joiner.first,
-                                                    joiner.second, i });
-                } else {
-                    if (!joiner.first->error)
-                        joiner.first->error = error;
-                    joiner.first->undelivered -= 1;
-                }
-            }
-            s.inflight.erase(it);
-            if (error) {
-                if (!req->error)
-                    req->error = error;
-                req->undelivered -= 1;
-            }
-        }
+        auto it = s.inflight.find(point.key);
+        MOMSIM_ASSERT(it != s.inflight.end(),
+                      "executed point missing from inflight map");
+        std::vector<std::pair<std::shared_ptr<PointRequestState>, size_t>>
+            deliveries = std::move(it->second.joiners);
+        deliveries.emplace(deliveries.begin(), req, point.slot);
+        s.inflight.erase(it);
         if (error) {
+            for (const auto &d : deliveries) {
+                if (!d.first->error)
+                    d.first->error = error;
+                d.first->undelivered -= 1;
+            }
             lock.unlock();
             s.doneCv.notify_all();
             lock.lock();
             continue;
         }
+        s.counters.pointsSimulated += 1;
+        s.lruInsertLocked(point.key, row);
         lock.unlock();
 
-        for (const Delivery &d : deliveries) {
+        for (const auto &d : deliveries) {
             try {
-                d.req->deliver(d.slot, rows[d.rowIdx]);
+                d.first->deliver(d.second, row);
             } catch (...) {
                 MutexLock errLock(s.mutex);
-                if (!d.req->error)
-                    d.req->error = std::current_exception();
+                if (!d.first->error)
+                    d.first->error = std::current_exception();
             }
         }
 
         lock.lock();
-        for (const Delivery &d : deliveries)
-            d.req->undelivered -= 1;
+        for (const auto &d : deliveries)
+            d.first->undelivered -= 1;
         lock.unlock();
         s.doneCv.notify_all();
         lock.lock();
@@ -375,10 +337,9 @@ PointScheduler::workerLoop()
 }
 
 PointScheduler::Request::Request(PointScheduler &sched, ExecFn exec,
-                                 DeliverFn deliver, int batchSize)
+                                 DeliverFn deliver)
     : _sched(sched),
-      _state(sched.registerRequest(std::move(exec), std::move(deliver),
-                                   batchSize))
+      _state(sched.registerRequest(std::move(exec), std::move(deliver)))
 {}
 
 PointScheduler::Request::~Request()

@@ -17,11 +17,13 @@
  *  - **In-memory LRU row cache**: recently completed rows are served
  *    from memory without touching the disk ResultStore, bounded at
  *    `memCacheRows` rows (0 disables).
- *  - **Fair interleaved dispatch**: workers pick the next task group
+ *  - **Fair interleaved dispatch**: workers pick the next point
  *    round-robin across *active requests*, not FIFO across the global
  *    queue — a 2-point request submitted behind a 600-point sweep gets
  *    its points onto a worker within one rotation instead of waiting
- *    for the whole sweep (no head-of-line blocking).
+ *    for the whole sweep (no head-of-line blocking). Within one
+ *    request, points run in add() order; ExperimentRunner::run adds a
+ *    sweep's heaviest points first, so the sweep's tail stays short.
  *
  * Determinism contract: rows are deterministic per point and the key
  * embeds everything that could change them, so whether a request's row
@@ -34,7 +36,7 @@
  * driven by their submitting thread (add points, then wait); delivery
  * callbacks fire on scheduler workers (or on the submitting thread for
  * memory-cache hits), serialized per request by the caller's own lock
- * if it needs one (driver::runPlanOnScheduler takes one).
+ * if it needs one (ExperimentRunner::run takes one).
  */
 
 #ifndef MOMSIM_DRIVER_POINT_SCHEDULER_HH
@@ -98,9 +100,8 @@ class PointScheduler
      *  "where did my rows come from" should. */
     void noteDiskCacheHits(uint64_t n);
 
-    /** Simulate a group of points on a worker thread; row i answers
-     *  spec i. One call per dispatched task group (the request's batch
-     *  size K controls grouping, exactly like the pool path). */
+    /** Simulate points on a worker thread; row i answers spec i.
+     *  Each dispatched call carries exactly one point. */
     using ExecFn = std::function<std::vector<ResultRow>(
         const std::vector<const ExperimentSpec *> &)>;
 
@@ -120,8 +121,7 @@ class PointScheduler
     class Request
     {
       public:
-        Request(PointScheduler &sched, ExecFn exec, DeliverFn deliver,
-                int batchSize = 1);
+        Request(PointScheduler &sched, ExecFn exec, DeliverFn deliver);
         ~Request();
 
         Request(const Request &) = delete;
@@ -131,15 +131,14 @@ class PointScheduler
          * Schedule one point. Slot ids are the add() ordinals, starting
          * at 0. A memory-cache hit delivers before returning; an
          * in-flight duplicate joins the executing request; otherwise
-         * the point queues on this request's own lane (grouped K
-         * consecutive points per worker task).
+         * the point queues, FIFO, on this request's own lane.
          */
         void add(const ExperimentSpec &spec, const std::string &key);
 
         /**
-         * Flush any open partial group, then block until every added
-         * point was delivered (or failed). Rethrows the first exec
-         * failure after the request fully drains. Idempotent.
+         * Block until every added point was delivered (or failed).
+         * Rethrows the first exec failure after the request fully
+         * drains. Idempotent.
          */
         void wait();
 
@@ -153,7 +152,7 @@ class PointScheduler
     friend class Request;
 
     std::shared_ptr<PointRequestState>
-    registerRequest(ExecFn exec, DeliverFn deliver, int batchSize);
+    registerRequest(ExecFn exec, DeliverFn deliver);
     void addPoint(const std::shared_ptr<PointRequestState> &req,
                   const ExperimentSpec &spec, const std::string &key);
     void waitRequest(const std::shared_ptr<PointRequestState> &req);

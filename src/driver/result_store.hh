@@ -90,12 +90,14 @@ std::string resultCacheKey(const ExperimentSpec &spec,
                            uint64_t workloadFingerprint);
 
 /**
- * Relative simulation cost of one point, used to deal shards and the
- * thread pool's initial batches evenly. Calibrated to the ROADMAP
- * observation that 8-thread configurations cost ~4x the 1-thread
- * ones; real-memory hierarchies add ~50% over the perfect one. A run
- * is one pass over the rotation, so cost scales linearly with the
- * workload's program count (@p workloadPrograms; 8 = the paper mix).
+ * Relative simulation cost of one point, used to deal shards evenly
+ * and to queue each sweep's points on the scheduler heaviest-first
+ * (ExperimentRunner::run), so an expensive point never starts last.
+ * Calibrated to the ROADMAP observation that 8-thread configurations
+ * cost ~4x the 1-thread ones; real-memory hierarchies add ~50% over
+ * the perfect one. A run is one pass over the rotation, so cost scales
+ * linearly with the workload's program count (@p workloadPrograms;
+ * 8 = the paper mix).
  */
 double specCost(const ExperimentSpec &spec, int workloadPrograms = 8);
 
@@ -231,8 +233,8 @@ RunPlan planSweep(std::vector<ExperimentSpec> specs,
 
 /**
  * The common case: fingerprints and program counts from @p repo
- * (workloads build on first use — callers wanting concurrency prebuild
- * via WorkloadRepo::missing + the pool first).
+ * (workloads build on first use — callers wanting concurrency call
+ * WorkloadRepo::prebuild first).
  */
 RunPlan planSweep(std::vector<ExperimentSpec> specs,
                   workloads::WorkloadRepo &repo,

@@ -38,12 +38,12 @@
 
 #include <unistd.h>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/net.hh"
 #include "common/thread_annotations.hh"
 #include "driver/bench_harness.hh"
 #include "driver/result_store.hh"
-#include "driver/thread_pool.hh"
 #include "fabric/dealer.hh"
 #include "fabric/protocol.hh"
 #include "fabric/worker_link.hh"
@@ -68,27 +68,6 @@ struct CoordOptions
     int workerTimeoutMs = 120000;
     std::string workerCacheDir;     ///< cacheDir field of worker requests
 };
-
-bool
-intValue(int argc, char **argv, int &i, int minValue, int &out)
-{
-    const char *arg = argv[i];
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s expects a value\n", kCmd, arg);
-        return false;
-    }
-    const char *v = argv[++i];
-    char *end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
-    if (*v == '\0' || !end || *end != '\0' || parsed < minValue ||
-        parsed > 1 << 20) {
-        std::fprintf(stderr, "%s: bad %s '%s' (want an integer >= %d)\n",
-                     kCmd, arg, v, minValue);
-        return false;
-    }
-    out = static_cast<int>(parsed);
-    return true;
-}
 
 void
 usage()
@@ -288,12 +267,9 @@ runCoord(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--workers") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --workers expects a value\n",
-                             kCmd);
+            std::string list;
+            if (!stringFlag(kCmd, argc, argv, i, list))
                 return 2;
-            }
-            const std::string list = argv[++i];
             size_t start = 0;
             while (start <= list.size()) {
                 const size_t comma = list.find(',', start);
@@ -316,22 +292,17 @@ runCoord(int argc, char **argv)
                 start = comma + 1;
             }
         } else if (std::strcmp(arg, "--connect-retries") == 0) {
-            if (!intValue(argc, argv, i, 0, coord.connectRetries))
+            if (!intFlag(kCmd, argc, argv, i, 0, coord.connectRetries))
                 return 2;
         } else if (std::strcmp(arg, "--retry-backoff-ms") == 0) {
-            if (!intValue(argc, argv, i, 1, coord.retryBackoffMs))
+            if (!intFlag(kCmd, argc, argv, i, 1, coord.retryBackoffMs))
                 return 2;
         } else if (std::strcmp(arg, "--worker-timeout-ms") == 0) {
-            if (!intValue(argc, argv, i, 1, coord.workerTimeoutMs))
+            if (!intFlag(kCmd, argc, argv, i, 1, coord.workerTimeoutMs))
                 return 2;
         } else if (std::strcmp(arg, "--worker-cache-dir") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "%s: --worker-cache-dir expects a value\n",
-                             kCmd);
+            if (!stringFlag(kCmd, argc, argv, i, coord.workerCacheDir))
                 return 2;
-            }
-            coord.workerCacheDir = argv[++i];
         } else {
             if (!valueExpected && arg[0] != '-' && benchName.empty()) {
                 benchName = arg;
@@ -426,14 +397,10 @@ runCoord(int argc, char **argv)
     std::vector<driver::ExperimentSpec> specs =
         grid.expand(opts.baseSeed);
 
-    driver::ThreadPool pool(opts.jobs);
     workloads::WorkloadRepo repo(opts.quick
                                      ? workloads::WorkloadScale::Tiny
                                      : workloads::WorkloadScale::Paper);
-    std::vector<std::string> toBuild = repo.missing(grid.workloadList());
-    pool.parallelFor(toBuild.size(), [&repo, &toBuild](size_t i) {
-        repo.get(toBuild[i]);
-    });
+    repo.prebuild(grid.workloadList(), opts.jobs);
     driver::RunPlan plan =
         driver::planSweep(std::move(specs), repo, &store, 0, 1);
 
@@ -525,7 +492,6 @@ runCoord(int argc, char **argv)
         sweep.quick = opts.quick;
         sweep.maxCycles = opts.maxCycles;
         sweep.seed = opts.baseSeed;
-        sweep.batch = opts.batch;
         sweep.cacheDir = coord.workerCacheDir;
         const std::string sweepJson = sweep.toJson();
 

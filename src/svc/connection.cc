@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include "common/logging.hh"
 #include "svc/sequencer.hh"
 #include "svc/sim_service.hh"
 
@@ -64,7 +65,8 @@ Connection::run()
 
     char buf[4096];
     std::string line;
-    for (;;) {
+    bool overlong = false;
+    while (!overlong) {
         long got = net::readSome(fd, buf, sizeof(buf));
         if (got <= 0)
             break;      // EOF, half-close, reset or forced drain
@@ -72,6 +74,9 @@ Connection::run()
             if (buf[i] == '\n') {
                 seq.push(std::move(line));
                 line.clear();
+            } else if (line.size() == kMaxLineBytes) {
+                overlong = true;
+                break;
             } else {
                 line += buf[i];
             }
@@ -79,12 +84,24 @@ Connection::run()
         if (seq.writeFailed())
             break;      // client stopped reading; its input is moot
     }
-    seq.push(std::move(line));  // final request without trailing newline
+    if (!overlong)
+        seq.push(std::move(line));  // final request, no trailing newline
     seq.finish();
+    if (overlong && !seq.writeFailed()) {
+        SimResponse resp = SimResponse::failure(
+            "", errc::kBadRequest,
+            strfmt("request line exceeds %zu bytes; closing connection",
+                   kMaxLineBytes));
+        resp.client = _clientTag;
+        std::string out = resp.toJson(_opts.withTiming) + "\n";
+        net::writeAll(fd, out.data(), out.size());
+    }
     // Half-close so the client sees EOF right after the last response
-    // instead of waiting for this object to be reaped. The fd itself
-    // stays owned until destruction (shutdownRead() may still race).
-    ::shutdown(fd, SHUT_WR);
+    // instead of waiting for this object to be reaped; an overlong
+    // line shuts the read side too, so none of the rest of its input
+    // is ever read. The fd itself stays owned until destruction
+    // (shutdownRead() may still race).
+    ::shutdown(fd, overlong ? SHUT_RDWR : SHUT_WR);
     _done.store(true, std::memory_order_release);
 }
 

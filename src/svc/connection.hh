@@ -9,10 +9,11 @@
  * Lifecycle: start() spawns the thread; the connection runs until the
  * client stops sending (EOF / half-close), the client stops *reading*
  * (a write error flips the sequencer into drain mode and queued work
- * is discarded unsimulated), or the server forces drain via
- * shutdownRead(). In every case in-flight responses are flushed
- * before the socket closes — an abrupt client disconnect never takes
- * down the daemon, only its own connection.
+ * is discarded unsimulated), the client sends a request line longer
+ * than kMaxLineBytes, or the server forces drain via shutdownRead().
+ * In every case in-flight responses are flushed before the socket
+ * closes — an abrupt client disconnect never takes down the daemon,
+ * only its own connection.
  */
 
 #ifndef MOMSIM_SVC_CONNECTION_HH
@@ -34,6 +35,15 @@ class SimService;
 class Connection
 {
   public:
+    /**
+     * The longest request line a connection buffers. A client that
+     * streams past it without a newline gets one structured
+     * bad_request naming the limit, after the responses to its earlier
+     * lines, and the connection closes — so one client cannot grow the
+     * daemon's memory without bound.
+     */
+    static constexpr size_t kMaxLineBytes = size_t { 1 } << 20;
+
     struct Options
     {
         int parallel = 2;       ///< submitter threads per connection

@@ -35,6 +35,7 @@
 
 #include <sys/socket.h>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/net.hh"
 #include "svc/json.hh"
@@ -45,41 +46,6 @@ namespace momsim::svc
 
 namespace
 {
-
-/** Strict integer flag value (whole token, [minValue, 1<<20]). */
-bool
-intFlag(const char *cmd, int argc, char **argv, int &i, int minValue,
-        int &out)
-{
-    const char *arg = argv[i];
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s expects a value\n", cmd, arg);
-        return false;
-    }
-    const char *v = argv[++i];
-    char *end = nullptr;
-    long parsed = std::strtol(v, &end, 10);
-    if (*v == '\0' || !end || *end != '\0' || parsed < minValue ||
-        parsed > 1 << 20) {
-        std::fprintf(stderr, "%s: bad %s '%s' (want an integer >= %d)\n",
-                     cmd, arg, v, minValue);
-        return false;
-    }
-    out = static_cast<int>(parsed);
-    return true;
-}
-
-bool
-stringFlag(const char *cmd, int argc, char **argv, int &i,
-           std::string &out)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s expects a value\n", cmd, argv[i]);
-        return false;
-    }
-    out = argv[++i];
-    return true;
-}
 
 std::vector<std::string>
 splitCommas(const std::string &list)

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/net.hh"
 #include "fabric/coord_main.hh"
@@ -325,14 +326,15 @@ runHelp(int argc, char **argv)
 /**
  * The JSONL request loop: stdin/stdout as a transport over the shared
  * ResponseSequencer. The main thread reads stdin and push()es lines;
- * the sequencer's M submitters call SimService::submit (the service
- * serializes actual pool use — M buys request pipelining and
+ * the sequencer's M submitters call SimService::submit (every request
+ * feeds the one --jobs scheduler — M buys request pipelining and
  * exercises the concurrent-submit contract, not extra simulation
  * parallelism) and its emitter writes responses in sequence order.
  */
 int
 runBatch(int argc, char **argv)
 {
+    const char *cmd = "momsim batch";
     int jobs = 0;
     int parallel = 2;
     int memCacheRows = -1;
@@ -341,49 +343,23 @@ runBatch(int argc, char **argv)
     std::string clientTag;
     for (int i = 0; i < argc; ++i) {
         const char *arg = argv[i];
-        // Strict like the bench flags: the whole token must be an
-        // integer ("4x" or "2/3" reject, they don't truncate).
-        auto intValueMin = [&](int minValue, int &out) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "momsim batch: %s expects a value\n",
-                             arg);
-                return false;
-            }
-            const char *v = argv[++i];
-            char *end = nullptr;
-            long parsed = std::strtol(v, &end, 10);
-            if (*v == '\0' || !end || *end != '\0' ||
-                parsed < minValue || parsed > 1 << 20) {
-                std::fprintf(stderr,
-                             "momsim batch: bad %s '%s' (want an "
-                             "integer >= %d)\n", arg, v, minValue);
-                return false;
-            }
-            out = static_cast<int>(parsed);
-            return true;
-        };
-        auto intValue = [&](int &out) { return intValueMin(1, out); };
         if (std::strcmp(arg, "--jobs") == 0 ||
             std::strcmp(arg, "-j") == 0) {
-            if (!intValue(jobs))
+            if (!intFlag(cmd, argc, argv, i, 1, jobs))
                 return 2;
         } else if (std::strcmp(arg, "--parallel") == 0) {
-            if (!intValue(parallel))
+            if (!intFlag(cmd, argc, argv, i, 1, parallel))
                 return 2;
             if (parallel > 16)
                 parallel = 16;
         } else if (std::strcmp(arg, "--mem-cache-rows") == 0) {
-            if (!intValueMin(0, memCacheRows))
+            if (!intFlag(cmd, argc, argv, i, 0, memCacheRows))
                 return 2;
         } else if (std::strcmp(arg, "--stats") == 0) {
             stats = true;
         } else if (std::strcmp(arg, "--client") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "momsim batch: --client expects a value\n");
+            if (!stringFlag(cmd, argc, argv, i, clientTag))
                 return 2;
-            }
-            clientTag = argv[++i];
         } else if (std::strcmp(arg, "--no-timing") == 0) {
             withTiming = false;
         } else {

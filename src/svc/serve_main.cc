@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/net.hh"
 #include "fabric/handler.hh"
@@ -27,45 +28,6 @@ namespace momsim::svc
 
 namespace
 {
-
-/**
- * Strict integer flag value, batch-style: the whole token must be an
- * integer in [minValue, 1<<20] ("4x" and "2/3" reject, never
- * truncate). Advances @p i past the consumed value.
- */
-bool
-intFlag(const char *cmd, int argc, char **argv, int &i, int minValue,
-        int &out)
-{
-    const char *arg = argv[i];
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s expects a value\n", cmd, arg);
-        return false;
-    }
-    const char *v = argv[++i];
-    char *end = nullptr;
-    long parsed = std::strtol(v, &end, 10);
-    if (*v == '\0' || !end || *end != '\0' || parsed < minValue ||
-        parsed > 1 << 20) {
-        std::fprintf(stderr, "%s: bad %s '%s' (want an integer >= %d)\n",
-                     cmd, arg, v, minValue);
-        return false;
-    }
-    out = static_cast<int>(parsed);
-    return true;
-}
-
-bool
-stringFlag(const char *cmd, int argc, char **argv, int &i,
-           std::string &out)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s expects a value\n", cmd, argv[i]);
-        return false;
-    }
-    out = argv[++i];
-    return true;
-}
 
 /** Reap finished connections (join + drop); returns the live count. */
 size_t
@@ -155,7 +117,7 @@ runServe(int argc, char **argv)
 
     net::ignoreSigpipe();
 
-    // One warm SimService for the daemon's lifetime: the thread pool,
+    // One warm SimService for the daemon's lifetime: the scheduler,
     // both workload repos and (with --cache-dir) the persistent result
     // store are built once and amortized across every connection.
     SimServiceConfig cfg;

@@ -5,7 +5,7 @@
  *   momsim serve   — long-lived daemon: SimRequest JSONL per
  *                    connection in, SimResponse JSONL out, over TCP
  *                    (loopback by default) and/or a unix-domain
- *                    socket, with one warm SimService (thread pool,
+ *                    socket, with one warm SimService (scheduler,
  *                    workload repos, optional persistent result
  *                    store) shared across all connections.
  *   momsim client  — line-streaming loopback client: stdin to the

@@ -66,11 +66,11 @@ struct SimRequest
     int shardIndex = 1;         ///< 1-based, <= shardCount
     int shardCount = 1;
     /**
-     * Sweep points interleaved per worker task (ExperimentRunner
-     * batching). Purely an execution knob: rows are byte-identical for
-     * any value, so it participates in neither point ids nor cache
-     * keys. Optional on the wire (toJson omits the default 1, older
-     * clients never send it), hence no schemaVersion bump.
+     * Retired execution knob, kept only for wire compatibility with
+     * schemaVersion 1: it is still parsed, rejected below 1 and
+     * serialized when != 1, but execution ignores it (every sweep runs
+     * one point per worker task). The next schemaVersion bump drops
+     * the field.
      */
     int batch = 1;
     std::string cacheDir;       ///< "" => no persistence

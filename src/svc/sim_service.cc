@@ -324,8 +324,8 @@ SimService::execute(const SimRequest &req,
     }
 
     _sched.noteDiskCacheHits(plan.cachedMineCount());
-    driver::ResultSink sink = driver::runPlanOnScheduler(
-        _sched, repo, plan, req.batch, store, onRow);
+    driver::ResultSink sink =
+        driver::ExperimentRunner(repo, _sched).run(plan, store, onRow);
 
     SimResponse resp;
     resp.id = req.id;

@@ -1,6 +1,10 @@
 #include "workloads/workload_repo.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <set>
+#include <thread>
 
 #include "common/logging.hh"
 
@@ -48,6 +52,39 @@ WorkloadRepo::missing(const std::vector<std::string> &names) const
             out.push_back(name);
     }
     return out;
+}
+
+void
+WorkloadRepo::prebuild(const std::vector<std::string> &names, int jobs)
+{
+    const std::vector<std::string> todo = missing(names);
+    size_t threads = jobs > 0 ? static_cast<size_t>(jobs)
+                              : std::thread::hardware_concurrency();
+    threads = std::min(std::max<size_t>(threads, 1), todo.size());
+
+    // The calling thread builds too; helpers make up the rest. The
+    // first failure is rethrown once every build has stopped.
+    std::atomic<size_t> next { 0 };
+    momsim::Mutex errorMutex;
+    std::exception_ptr error;
+    auto drain = [&] {
+        try {
+            for (size_t i = next++; i < todo.size(); i = next++)
+                get(todo[i]);
+        } catch (...) {
+            MutexLock lock(errorMutex);
+            if (!error)
+                error = std::current_exception();
+        }
+    };
+    std::vector<std::thread> helpers;
+    for (size_t t = 1; t < threads; ++t)
+        helpers.emplace_back(drain);
+    drain();
+    for (std::thread &t : helpers)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 size_t

@@ -3,8 +3,8 @@
  * Lazily-built, cached, immutable workloads keyed by spec name — the
  * shared source every sweep point draws from. One MediaWorkload is
  * built per (name, scale) for the whole process, shared across all
- * sweep points and benches that reference it; distinct specs can be
- * built concurrently (see missing() + a caller-side parallel loop).
+ * sweep points and benches that reference it; distinct specs build
+ * concurrently (prebuild()).
  */
 
 #ifndef MOMSIM_WORKLOADS_WORKLOAD_REPO_HH
@@ -44,14 +44,18 @@ class WorkloadRepo
     /** Content fingerprint of @p name's workload (builds on demand). */
     uint64_t fingerprintOf(const std::string &name);
 
-    /**
-     * Deduplicated subset of @p names not yet built, in first-seen
-     * order. The idiom for concurrent prebuilds:
-     *   auto todo = repo.missing(grid.workloadList());
-     *   pool.parallelFor(todo.size(), [&](size_t i) { repo.get(todo[i]); });
-     */
+    /** Deduplicated subset of @p names not yet built, in first-seen
+     *  order. */
     std::vector<std::string> missing(
         const std::vector<std::string> &names) const;
+
+    /**
+     * Build every name of @p names that is missing, distinct names
+     * concurrently on at most @p jobs threads (<= 0: the hardware
+     * concurrency), the calling thread among them. Returns once all
+     * are built; rethrows the first build failure.
+     */
+    void prebuild(const std::vector<std::string> &names, int jobs);
 
     size_t size() const;
 

@@ -58,7 +58,6 @@ TEST(BenchOptions, DefaultsAreNeutral)
 {
     BenchOptions opts = expectOk({});
     EXPECT_EQ(opts.jobs, 0);
-    EXPECT_EQ(opts.batch, 1);
     EXPECT_FALSE(opts.quick);
     EXPECT_FALSE(opts.dryRun);
     EXPECT_FALSE(opts.listWorkloads);
@@ -75,7 +74,7 @@ TEST(BenchOptions, DefaultsAreNeutral)
 
 TEST(BenchOptions, EveryFlagRoundTrips)
 {
-    BenchOptions opts = expectOk({ "--jobs", "3", "--batch", "4",
+    BenchOptions opts = expectOk({ "--jobs", "3",
                                    "--quick", "--seed",
                                    "0x2a", "--max-cycles", "500000",
                                    "--csv", "a.csv", "--json",
@@ -84,7 +83,6 @@ TEST(BenchOptions, EveryFlagRoundTrips)
                                    "--workload", "paper,gsmx8",
                                    "--dry-run" });
     EXPECT_EQ(opts.jobs, 3);
-    EXPECT_EQ(opts.batch, 4);
     EXPECT_TRUE(opts.quick);
     EXPECT_TRUE(opts.dryRun);
     EXPECT_EQ(opts.baseSeed, 42u);
@@ -137,21 +135,9 @@ TEST(BenchOptions, ValueFlagsAtEndOfArgvErrorInsteadOfReadingPast)
     }
 }
 
-TEST(BenchOptions, BatchValidatesAndRoundTrips)
-{
-    EXPECT_EQ(expectOk({ "--batch", "1" }).batch, 1);
-    EXPECT_EQ(expectOk({ "--batch", "8" }).batch, 8);
-    // A batch size below 1 cannot mean anything; garbage atoi()s to 0.
-    for (const char *bad : { "0", "-2", "x" }) {
-        std::string error = expectError({ "--batch", bad });
-        EXPECT_NE(error.find("--batch"), std::string::npos) << error;
-    }
-    EXPECT_TRUE(BenchOptions::takesValue("--batch"));
-}
-
 TEST(BenchOptions, TakesValueMatchesTheParser)
 {
-    for (const char *flag : { "--jobs", "-j", "--batch", "--seed",
+    for (const char *flag : { "--jobs", "-j", "--seed",
                               "--max-cycles",
                               "--csv", "--json", "--cache-dir", "--shard",
                               "--merge", "--workload" })
@@ -267,6 +253,22 @@ TEST(BenchOptions, JobsMustBePositive)
     expectError({ "--jobs", "0" });
     expectError({ "--jobs", "-2" });
     expectError({ "--jobs", "banana" });
+    // The whole token must be the number: "4x" must not run 4 jobs.
+    EXPECT_NE(expectError({ "--jobs", "4x" })
+                  .find("bad --jobs '4x' (want an integer >= 1)"),
+              std::string::npos);
+}
+
+TEST(BenchOptions, SeedIsAStrictUnsignedInteger)
+{
+    EXPECT_EQ(expectOk({ "--seed", "0" }).baseSeed, 0u);
+    EXPECT_EQ(expectOk({ "--seed", "18446744073709551615" }).baseSeed,
+              18446744073709551615ull);
+    // Garbage must not run (and cache) as seed 0, and a negative seed
+    // must not wrap to 2^64-1.
+    for (const char *v : { "foo", "-1", "7x", "", "18446744073709551616" })
+        EXPECT_NE(expectError({ "--seed", v }).find("bad --seed"),
+                  std::string::npos) << "'" << v << "'";
 }
 
 TEST(BenchOptions, MaxCyclesRoundTripsAndRejectsGarbage)

@@ -1,8 +1,10 @@
 /**
  * @file
- * Tests for the experiment-runner subsystem: thread-pool coverage and
- * determinism, sweep-grid cartesian expansion, seed stability, and the
- * CSV/JSON serializations of the result sink.
+ * Tests for the experiment-runner subsystem: sweep-grid cartesian
+ * expansion, seed stability, the CSV/JSON serializations of the result
+ * sink, and the one sweep engine (ExperimentRunner on the
+ * PointScheduler): heaviest-first dispatch, sweep-order splicing and
+ * --jobs determinism.
  *
  * The load-bearing property is the determinism contract: the same sweep
  * must produce byte-identical aggregated output whether it runs on one
@@ -11,16 +13,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/logging.hh"
 #include "driver/experiment.hh"
+#include "driver/point_scheduler.hh"
 #include "driver/result_sink.hh"
-#include "driver/thread_pool.hh"
+#include "driver/result_store.hh"
 #include "tests/csv_test_util.hh"
 #include "workloads/workload_repo.hh"
 
@@ -32,138 +34,49 @@ namespace
 using isa::SimdIsa;
 
 // ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
-{
-    constexpr size_t kTasks = 1000;
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(kTasks);
-    pool.parallelFor(kTasks, [&](size_t i) { hits[i] += 1; });
-    for (size_t i = 0; i < kTasks; ++i)
-        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPool, SingleWorkerRunsInlineInOrder)
-{
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.size(), 1);
-    std::vector<size_t> order;
-    std::thread::id caller = std::this_thread::get_id();
-    pool.parallelFor(16, [&](size_t i) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        order.push_back(i);
-    });
-    ASSERT_EQ(order.size(), 16u);
-    for (size_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, DefaultSizeIsAtLeastOne)
-{
-    ThreadPool pool(0);
-    EXPECT_GE(pool.size(), 1);
-}
-
-TEST(ThreadPool, ZeroTasksIsANoOp)
-{
-    ThreadPool pool(4);
-    pool.parallelFor(0, [](size_t) { FAIL() << "body must not run"; });
-}
-
-TEST(ThreadPool, ReusableAcrossBatches)
-{
-    ThreadPool pool(3);
-    for (int round = 0; round < 5; ++round) {
-        std::atomic<size_t> sum { 0 };
-        pool.parallelFor(100, [&](size_t i) { sum += i; });
-        EXPECT_EQ(sum.load(), 4950u);
-    }
-}
-
-TEST(ThreadPool, PropagatesFirstException)
-{
-    ThreadPool pool(4);
-    EXPECT_THROW(pool.parallelFor(64,
-                                  [](size_t i) {
-                                      if (i == 37)
-                                          throw std::runtime_error("boom");
-                                  }),
-                 std::runtime_error);
-    // Pool must stay usable after a failed batch.
-    std::atomic<int> ran { 0 };
-    pool.parallelFor(8, [&](size_t) { ran += 1; });
-    EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, UnbalancedTasksAllComplete)
-{
-    // Front-loaded costs force the tail workers to steal.
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(64);
-    pool.parallelFor(64, [&](size_t i) {
-        if (i < 4)
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        hits[i] += 1;
-    });
-    for (size_t i = 0; i < hits.size(); ++i)
-        ASSERT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPool, CostedDealRunsEveryIndexExactlyOnce)
-{
-    constexpr size_t kTasks = 500;
-    ThreadPool pool(4);
-    std::vector<double> costs(kTasks);
-    for (size_t i = 0; i < kTasks; ++i)
-        costs[i] = static_cast<double>((i * 7919) % 97) + 1.0;
-    std::vector<std::atomic<int>> hits(kTasks);
-    pool.parallelFor(kTasks, costs, [&](size_t i) { hits[i] += 1; });
-    for (size_t i = 0; i < kTasks; ++i)
-        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPool, CostedDealOnOneWorkerIsAPlainLoop)
-{
-    ThreadPool pool(1);
-    std::vector<size_t> order;
-    pool.parallelFor(8, { 1, 9, 2, 8, 3, 7, 4, 6 },
-                     [&](size_t i) { order.push_back(i); });
-    ASSERT_EQ(order.size(), 8u);
-    for (size_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
-}
-
 // The acceptance-criterion speedup check. Registered as its own serial
 // CTest (driver_speedup) and filtered out of the main suite, because a
 // loaded machine would make any timing assertion flaky.
-TEST(ThreadPoolSpeedup, ParallelForBeatsSerialOnMulticore)
+TEST(SchedulerSpeedup, FourWorkersBeatOneOnMulticore)
 {
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw < 4)
         GTEST_SKIP() << "needs >= 4 hardware threads, have " << hw;
 
-    constexpr size_t kTasks = 32;
-    auto spin = [](size_t) {
-        volatile uint64_t acc = 0;
-        for (uint64_t i = 0; i < 30'000'000ull; ++i)
-            acc += i;
-    };
-    auto timed = [&](ThreadPool &pool) {
+    constexpr size_t kPoints = 32;
+    std::vector<ExperimentSpec> specs(kPoints);
+    for (size_t i = 0; i < kPoints; ++i)
+        specs[i].id = strfmt("spin%zu", i);
+    PointScheduler::ExecFn spin =
+        [](const std::vector<const ExperimentSpec *> &group) {
+            volatile uint64_t acc = 0;
+            for (uint64_t i = 0; i < 30'000'000ull; ++i)
+                acc += i;
+            return std::vector<ResultRow>(group.size());
+        };
+    // Distinct keys per run, so neither the row cache nor singleflight
+    // answers a point without spinning.
+    int run = 0;
+    auto timed = [&](PointScheduler &sched) {
         auto t0 = std::chrono::steady_clock::now();
-        pool.parallelFor(kTasks, spin);
+        PointScheduler::Request request(sched, spin,
+                                        [](size_t, const ResultRow &) {});
+        for (const ExperimentSpec &spec : specs)
+            request.add(spec, strfmt("run%d/%s", run, spec.id.c_str()));
+        request.wait();
+        ++run;
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
             .count();
     };
 
-    ThreadPool serial(1), parallel(4);
+    PointScheduler serial(PointScheduler::Config { 1, 0 });
+    PointScheduler parallel(PointScheduler::Config { 4, 0 });
     timed(parallel);    // warm the workers before measuring
     double t1 = timed(serial);
     double t4 = timed(parallel);
     EXPECT_GT(t1 / t4, 2.0)
-        << "serial " << t1 << "s vs 4 workers " << t4 << "s";
+        << "1 worker " << t1 << "s vs 4 workers " << t4 << "s";
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +337,7 @@ TEST(ResultSink, GeomeanAndRule)
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end determinism: jobs=1 vs jobs=N byte-identical aggregates
+// The sweep engine: ExperimentRunner on the PointScheduler
 // ---------------------------------------------------------------------------
 
 workloads::WorkloadRepo &
@@ -447,19 +360,23 @@ integrationGrid()
     return grid;
 }
 
+/** Plan @p grid against the tiny repo and run it on @p workers. */
+ResultSink
+runGrid(const SweepGrid &grid, uint64_t seed, int workers)
+{
+    PointScheduler sched(PointScheduler::Config { workers });
+    ExperimentRunner runner(tinyRepo(), sched);
+    return runner.run(planSweep(grid.expand(seed), tinyRepo()));
+}
+
 using testutil::stripSelfMeasurement;
 
 TEST(ExperimentRunner, SameSeedsSameStatsRegardlessOfThreadCount)
 {
     SweepGrid grid = integrationGrid();
 
-    ThreadPool pool1(1);
-    ExperimentRunner serial(tinyRepo(), pool1);
-    ResultSink a = serial.run(grid, 1234);
-
-    ThreadPool pool4(4);
-    ExperimentRunner threaded(tinyRepo(), pool4);
-    ResultSink b = threaded.run(grid, 1234);
+    ResultSink a = runGrid(grid, 1234, 1);
+    ResultSink b = runGrid(grid, 1234, 4);
 
     ASSERT_EQ(a.size(), 16u);
     ASSERT_EQ(a.size(), b.size());
@@ -492,8 +409,8 @@ TEST(ExperimentRunner, CycleLimitSurfacesAsRowDataNotStderr)
     auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 1u);
 
-    ThreadPool pool(1);
-    ExperimentRunner runner(tinyRepo(), pool);
+    PointScheduler sched(PointScheduler::Config { 1 });
+    ExperimentRunner runner(tinyRepo(), sched);
     ResultRow row = runner.runOne(specs[0]);
     EXPECT_TRUE(row.run.hitCycleLimit);
     EXPECT_LT(row.run.completions, 8);
@@ -508,62 +425,54 @@ TEST(ExperimentRunner, CycleLimitSurfacesAsRowDataNotStderr)
               std::string::npos);
 }
 
-TEST(ExperimentRunner, RunOneMatchesPooledRun)
+TEST(ExperimentRunner, RunOneMatchesScheduledRun)
 {
     SweepGrid grid;
     grid.threadCounts({ 2 });
     auto specs = grid.expand(5);
     ASSERT_EQ(specs.size(), 1u);
 
-    ThreadPool pool(2);
-    ExperimentRunner runner(tinyRepo(), pool);
+    PointScheduler sched(PointScheduler::Config { 2 });
+    ExperimentRunner runner(tinyRepo(), sched);
     ResultRow direct = runner.runOne(specs[0]);
-    ResultSink pooled = runner.run(specs);
-    ASSERT_EQ(pooled.size(), 1u);
-    EXPECT_EQ(direct.run.cycles, pooled.rows()[0].run.cycles);
-    EXPECT_DOUBLE_EQ(direct.run.ipc, pooled.rows()[0].run.ipc);
+    ResultSink scheduled = runner.run(planSweep(specs, tinyRepo()));
+    ASSERT_EQ(scheduled.size(), 1u);
+    EXPECT_EQ(direct.run.cycles, scheduled.rows()[0].run.cycles);
+    EXPECT_DOUBLE_EQ(direct.run.ipc, scheduled.rows()[0].run.ipc);
 }
 
-TEST(ExperimentRunner, BatchedExecutionIsByteIdenticalToUnbatched)
+TEST(ExperimentRunner, QueuesHeaviestPointsFirstAndSplicesInSweepOrder)
 {
-    // Interleaving K consecutive sweep points per worker task is a
-    // pure execution optimization: for every batch size — aligned,
-    // ragged tail, larger than the whole sweep — the rows must match
-    // the classic one-task-per-point run byte for byte.
-    SweepGrid grid = integrationGrid();
+    // Thread counts ascend in sweep order, so costs do too: a FIFO
+    // lane would run the cheapest point first. One worker makes the
+    // completion order the dispatch order.
+    SweepGrid grid;
+    grid.threadCounts({ 1, 2, 4 })
+        .memModels({ mem::MemModel::Perfect,
+                     mem::MemModel::Conventional })
+        .limits(-1, 20000);
+    RunPlan plan = planSweep(grid.expand(7), tinyRepo());
+    ASSERT_EQ(plan.points.size(), 6u);
 
-    ThreadPool pool(2);
-    ExperimentRunner runner(tinyRepo(), pool);
-    ASSERT_EQ(runner.batchSize(), 1);
-    ResultSink ref = runner.run(grid, 1234);
-    ASSERT_EQ(ref.size(), 16u);
+    PointScheduler sched(PointScheduler::Config { 1, 0 });
+    ExperimentRunner runner(tinyRepo(), sched);
+    std::vector<double> costs;
+    std::vector<std::string> completed;
+    ResultSink sink = runner.run(
+        plan, nullptr, [&](const PlannedPoint &p, const ResultRow &row) {
+            costs.push_back(p.cost);
+            completed.push_back(row.id);
+        });
 
-    for (int batch : { 2, 3, 16, 99 }) {
-        SCOPED_TRACE(testing::Message() << "batch=" << batch);
-        runner.setBatchSize(batch);
-        EXPECT_EQ(runner.batchSize(), batch);
-        ResultSink out = runner.run(grid, 1234);
-        ASSERT_EQ(out.size(), ref.size());
-        EXPECT_EQ(stripSelfMeasurement(out.toCsv()),
-                  stripSelfMeasurement(ref.toCsv()));
-    }
-    // Values below 1 clamp instead of dividing by zero.
-    runner.setBatchSize(0);
-    EXPECT_EQ(runner.batchSize(), 1);
+    ASSERT_EQ(costs.size(), plan.points.size());
+    for (size_t i = 1; i < costs.size(); ++i)
+        EXPECT_GE(costs[i - 1], costs[i]) << "completion " << i;
+    EXPECT_EQ(completed.front(), "paper/MMX/4thr/conventional/RR");
+    EXPECT_EQ(completed.back(), "paper/MMX/1thr/perfect/RR");
 
-    // runBatch itself, driven directly on the calling thread.
-    auto specs = grid.expand(1234);
-    std::vector<const ExperimentSpec *> firstThree {
-        &specs[0], &specs[1], &specs[2]
-    };
-    std::vector<ResultRow> rows = runner.runBatch(firstThree);
-    ASSERT_EQ(rows.size(), 3u);
-    for (size_t i = 0; i < rows.size(); ++i) {
-        EXPECT_EQ(rows[i].id, ref.rows()[i].id);
-        EXPECT_EQ(rows[i].run.cycles, ref.rows()[i].run.cycles);
-        EXPECT_DOUBLE_EQ(rows[i].run.ipc, ref.rows()[i].run.ipc);
-        EXPECT_DOUBLE_EQ(rows[i].run.eipc, ref.rows()[i].run.eipc);
-    }
+    ASSERT_EQ(sink.size(), plan.points.size());
+    for (size_t i = 0; i < plan.points.size(); ++i)
+        EXPECT_EQ(sink.rows()[i].id, plan.points[i].spec.id) << i;
 }
 
 } // namespace

@@ -341,7 +341,7 @@ expectSameRun(const core::RunResult &a, const core::RunResult &b)
 
 TEST(KernelResumable, ChunkedAdvanceIsBitIdenticalToOneRun)
 {
-    // The foundation of batched sweep execution: slicing a run into
+    // The foundation of ExperimentRunner::runOne: slicing a run into
     // begin()/advance(budget)/finish() — at any budget, down to one
     // cycle — must reproduce run()'s RunResult bit for bit.
     for (uint32_t seed : { 0xACE1u, 0x5EEDu }) {

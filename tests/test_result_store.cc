@@ -18,8 +18,8 @@
 
 #include "common/logging.hh"
 #include "driver/experiment.hh"
+#include "driver/point_scheduler.hh"
 #include "driver/result_store.hh"
-#include "driver/thread_pool.hh"
 #include "tests/csv_test_util.hh"
 #include "workloads/workload_repo.hh"
 
@@ -521,8 +521,8 @@ TEST(RunPlanIntegration, DistinctSpecsGetDistinctFingerprintsAndRows)
     ASSERT_EQ(plan.points.size(), 2u);
     EXPECT_NE(plan.points[0].key, plan.points[1].key);
 
-    ThreadPool pool(2);
-    ExperimentRunner runner(repo, pool);
+    PointScheduler sched(PointScheduler::Config { 2, 0 });
+    ExperimentRunner runner(repo, sched);
     ResultSink sink = runner.run(plan);
     ASSERT_EQ(sink.size(), 2u);
     EXPECT_EQ(sink.rows()[0].workload, "paper");
@@ -553,8 +553,8 @@ TEST(RunPlanIntegration, WarmCacheRerunSimulatesZeroPoints)
     const std::string dir = "test_result_store.warm";
     wipeStoreDir(dir);
 
-    ThreadPool pool(2);
-    ExperimentRunner runner(tinyRepo(), pool);
+    PointScheduler sched(PointScheduler::Config { 2, 0 });
+    ExperimentRunner runner(tinyRepo(), sched);
 
     ResultStore store;
     ASSERT_TRUE(store.openDir(dir));
@@ -580,8 +580,8 @@ using testutil::stripSelfMeasurement;
 
 TEST(RunPlanIntegration, ShardedStoresMergeToUnshardedOutput)
 {
-    ThreadPool pool(2);
-    ExperimentRunner runner(tinyRepo(), pool);
+    PointScheduler sched(PointScheduler::Config { 2, 0 });
+    ExperimentRunner runner(tinyRepo(), sched);
 
     // Reference: the unsharded sweep, no caching anywhere.
     ResultSink reference = runner.run(

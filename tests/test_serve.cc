@@ -5,7 +5,8 @@
  * blank-line skipping, kOverloaded shedding, write-failure draining),
  * the Listener (TCP + unix accept, wake), and Connection end to end
  * over a real loopback socket — including the abrupt-disconnect case
- * the daemon must survive.
+ * the daemon must survive and the request-line cap that bounds one
+ * client's memory.
  */
 
 #include <gtest/gtest.h>
@@ -396,6 +397,72 @@ TEST(ServeConnection, SurvivesAbruptClientDisconnect)
     // client is gone.
     SimResponse after = service.submit(tinyRequest("after"));
     EXPECT_TRUE(after.ok) << after.errorMessage;
+}
+
+TEST(ServeConnection, OverlongLineGetsBadRequestThenClose)
+{
+    SimService service;
+    Listener listener;
+    Listener::Options opts;
+    opts.tcpPort = 0;
+    std::string error;
+    ASSERT_TRUE(listener.open(opts, error)) << error;
+
+    std::string err;
+    int clientFd =
+        net::connectTcp("127.0.0.1", listener.boundPort(), err);
+    ASSERT_GE(clientFd, 0) << err;
+    int serverFd = listener.acceptClient();
+    ASSERT_GE(serverFd, 0);
+
+    Connection conn(serverFd, service, {}, "c1");
+    conn.start();
+
+    // One well-formed request, then 64 MiB without a newline from a
+    // writer thread. A reset must fail the writer's write, not kill
+    // the test with SIGPIPE.
+    net::ignoreSigpipe();
+    constexpr size_t kStreamBytes = size_t { 64 } << 20;
+    std::atomic<size_t> written { 0 };
+    std::thread writer([&] {
+        const std::string first = tinyRequest("ok1").toJson() + "\n";
+        if (!net::writeAll(clientFd, first.data(), first.size()))
+            return;
+        const std::string chunk(size_t { 64 } << 10, 'x');
+        while (written.load() < kStreamBytes) {
+            if (!net::writeAll(clientFd, chunk.data(), chunk.size()))
+                return;
+            written += chunk.size();
+        }
+    });
+
+    // The daemon answers and closes while the client is still writing;
+    // a daemon that keeps buffering never closes, so bound the wait.
+    std::string received;
+    char buf[4096];
+    while (net::waitReadable(clientFd, 30000) == 1) {
+        long got = net::readSome(clientFd, buf, sizeof(buf));
+        if (got <= 0)
+            break;
+        received.append(buf, static_cast<size_t>(got));
+    }
+    std::vector<std::string> lines = splitLines(received);
+    const size_t writtenAtClose = written.load();
+    ::shutdown(clientFd, SHUT_RDWR);    // release a writer still blocked
+    writer.join();
+    ::close(clientFd);
+    conn.join();
+    EXPECT_TRUE(conn.done());
+
+    EXPECT_LT(writtenAtClose, kStreamBytes);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_NE(lines[0].find("\"id\":\"ok1\""), std::string::npos);
+    EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos);
+    EXPECT_NE(lines[1].find("\"code\":\"bad_request\""),
+              std::string::npos);
+    EXPECT_NE(lines[1].find(strfmt("%zu bytes", Connection::kMaxLineBytes)),
+              std::string::npos) << lines[1];
+    EXPECT_NE(lines[1].find("\"client\":\"c1\""), std::string::npos);
 }
 
 TEST(SimService, SharedCacheWarmsAcrossRequests)

@@ -360,8 +360,9 @@ TEST(SimService, BatchKnobValidatesAndNeverChangesRows)
     EXPECT_EQ(resp.errorCode, errc::kBadRequest);
     EXPECT_NE(resp.errorMessage.find("batch"), std::string::npos);
 
-    // Interleaved execution is an execution knob only: rows are
-    // byte-identical to the unbatched submit (modulo timing fields).
+    // The field is retired: schemaVersion 1 still carries it, but
+    // execution ignores it, so rows match the default submit (modulo
+    // timing fields).
     SimResponse plain = service.submit(tinyRequest("b1"));
     ASSERT_TRUE(plain.ok) << plain.errorMessage;
     SimRequest batched = tinyRequest("b1");

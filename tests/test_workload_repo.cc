@@ -4,7 +4,8 @@
  * resolution (fixed mixes and the paperxN pattern), recipe-driven
  * builds (paper-mix parity, duplicate-slot rebasing, decoder-only mixes
  * synthesizing their bitstreams), per-spec fingerprint distinctness,
- * and the repo's build-once sharing across lookups and pool workers.
+ * and the repo's build-once sharing across lookups and concurrent
+ * prebuilds.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/thread_pool.hh"
 #include "workloads/workload_repo.hh"
 
 namespace momsim::workloads
@@ -185,15 +185,22 @@ TEST(WorkloadRepo, BuildsOnceAndSharesThereafter)
     EXPECT_EQ(repo.missing({ "gsmx8", "jpegx8" })[0], "jpegx8");
 }
 
-TEST(WorkloadRepo, DistinctSpecsBuildConcurrentlyOnThePool)
+TEST(WorkloadRepo, PrebuildBuildsDistinctSpecsConcurrently)
 {
     WorkloadRepo repo(WorkloadScale::Tiny);
-    std::vector<std::string> names { "gsmx8", "jpegx8" };
-    driver::ThreadPool pool(2);
-    pool.parallelFor(names.size(),
-                     [&](size_t i) { repo.get(names[i]); });
-    EXPECT_EQ(repo.size(), 2u);
+    auto gsm = repo.get("gsmx8");
+    // Duplicates and already-built names are skipped; the two missing
+    // specs build on two threads.
+    repo.prebuild({ "gsmx8", "jpegx8", "jpegx8", "mpeg2x8" }, 2);
+    EXPECT_EQ(repo.size(), 3u);
+    EXPECT_TRUE(repo.missing({ "gsmx8", "jpegx8", "mpeg2x8" }).empty());
+    EXPECT_EQ(repo.get("gsmx8").get(), gsm.get());
     EXPECT_NE(repo.fingerprintOf("gsmx8"), repo.fingerprintOf("jpegx8"));
+    EXPECT_NE(repo.fingerprintOf("jpegx8"), repo.fingerprintOf("mpeg2x8"));
+
+    // Nothing left to build: a no-op, on any thread count.
+    repo.prebuild({ "jpegx8" }, 0);
+    EXPECT_EQ(repo.size(), 3u);
 }
 
 } // namespace
