@@ -1,6 +1,7 @@
 #include "driver/bench_harness.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -73,7 +74,8 @@ BenchOptions::flagTable()
     // (every table flag parses, every parsed flag is in the table).
     static const std::vector<BenchFlagInfo> table = {
         { "--jobs", "-j", "N",
-          "worker threads for the sweep (default: all hardware)" },
+          "worker threads for the sweep and workload synthesis "
+          "(default: all hardware)" },
         { "--quick", nullptr, nullptr,
           "tiny workload scale, for smoke tests and CI" },
         { "--workload", nullptr, "NAME[,NAME...]",
@@ -347,7 +349,8 @@ BenchOptions::parse(int argc, char **argv,
 BenchHarness::BenchHarness(const BenchOptions &opts, std::string name)
     : _opts(opts), _name(std::move(name)),
       _repo(opts.quick ? workloads::WorkloadScale::Tiny
-                       : workloads::WorkloadScale::Paper),
+                       : workloads::WorkloadScale::Paper,
+            opts.jobs),
       _workloadNames(opts.workloads.empty()
                          ? std::vector<std::string> { "paper" }
                          : opts.workloads)
@@ -418,15 +421,19 @@ BenchHarness::run(const SweepGrid &grid)
     }
 
     // Every workload of the grid participates in the plan keys, so all
-    // of them must exist before planning; distinct specs synthesize
-    // concurrently.
+    // of them must exist before planning; their programs synthesize in
+    // one task graph on up to --jobs threads.
     const size_t toBuild = _repo.missing(_lastWorkloads).size();
     if (toBuild != 0) {
         std::fprintf(stderr, "[bench] building %zu workload(s) at %s "
                              "scale (both ISAs)...\n", toBuild,
                      _opts.quick ? "tiny" : "paper");
-        _repo.prebuild(_lastWorkloads, _opts.jobs);
-        std::fprintf(stderr, "[bench] workloads ready\n");
+        const auto start = std::chrono::steady_clock::now();
+        _repo.prebuild(_lastWorkloads);
+        std::fprintf(stderr, "[bench] workloads ready in %.2f s\n",
+                     std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
     }
 
     RunPlan plan = planSweep(g.expand(_opts.baseSeed), _repo, &store,

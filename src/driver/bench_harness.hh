@@ -29,8 +29,8 @@
  *
  * The harness owns a WorkloadRepo (at the scale --quick selects) that
  * builds each selected workload lazily, once, sharing it across every
- * sweep point; distinct workloads build concurrently on up to --jobs
- * threads. It plans every sweep through the result store (see
+ * sweep point; workload synthesis runs on up to --jobs threads. It
+ * plans every sweep through the result store (see
  * result_store.hh) and executes it with an ExperimentRunner on a
  * --jobs-worker PointScheduler — the engine SimService runs requests
  * on. All harness chatter goes to stderr so stdout stays

@@ -399,8 +399,9 @@ runCoord(int argc, char **argv)
 
     workloads::WorkloadRepo repo(opts.quick
                                      ? workloads::WorkloadScale::Tiny
-                                     : workloads::WorkloadScale::Paper);
-    repo.prebuild(grid.workloadList(), opts.jobs);
+                                     : workloads::WorkloadScale::Paper,
+                                 opts.jobs);
+    repo.prebuild(grid.workloadList());
     driver::RunPlan plan =
         driver::planSweep(std::move(specs), repo, &store, 0, 1);
 

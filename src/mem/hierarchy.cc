@@ -279,11 +279,7 @@ DecoupledHierarchy::scalarAccess(uint64_t cycle, const MemAccess &req)
 {
     MemReply rep;
     if (req.isWrite) {
-        if (storeThroughWb(cycle, req.addr, rep)) {
-            // Scalar write: the line is no longer vector-exclusive.
-            _vecOwned.erase(req.addr & ~static_cast<uint64_t>(
-                _cfg.l2.lineBytes - 1));
-        }
+        storeThroughWb(cycle, req.addr, rep);
         return rep;
     }
     if (_l1.wbHit(cycle, req.addr)) {
@@ -304,8 +300,6 @@ DecoupledHierarchy::scalarAccess(uint64_t cycle, const MemAccess &req)
         _l1.fillDone(r.missAddr, done);
         _l1.stats().at(_ctrL1LatencySum) += done - cycle;
         rep.readyCycle = done;
-        _vecOwned.erase(req.addr & ~static_cast<uint64_t>(
-            _cfg.l2.lineBytes - 1));
     } else {
         rep.readyCycle = r.readyCycle;
     }
@@ -322,8 +316,6 @@ DecoupledHierarchy::vectorAccess(uint64_t cycle, const MemAccess &req)
     }
 
     uint64_t penalty = 0;
-    uint64_t l2line = req.addr & ~static_cast<uint64_t>(
-        _cfg.l2.lineBytes - 1);
 
     // Exclusive-bit coherence: a vector touch of an L1-resident line
     // pulls it out of the L1 before proceeding.
@@ -331,11 +323,7 @@ DecoupledHierarchy::vectorAccess(uint64_t cycle, const MemAccess &req)
         _l1.invalidate(req.addr);
         _l2.stats().at(_ctrL2VecInvalidations) += 1;
         penalty = _cfg.invalidatePenalty;
-        if (req.isWrite)
-            _vecOwned.insert(l2line);
     }
-    if (!req.isWrite || penalty == 0)
-        _vecOwned.insert(l2line);
 
     uint64_t done = req.isWrite
         ? l2Write(cycle + penalty, req.addr, req.size)

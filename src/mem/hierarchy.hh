@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -224,8 +223,6 @@ class DecoupledHierarchy : public BaseHierarchy
 
     uint64_t _vpCycle = ~0ull;
     uint32_t _vpUsed = 0;
-    /** L2 lines currently owned by the vector side (exclusive bit). */
-    std::unordered_set<uint64_t> _vecOwned;
 };
 
 } // namespace momsim::mem

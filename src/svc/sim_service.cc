@@ -29,8 +29,9 @@ nowMs()
 SimService::SimService(SimServiceConfig cfg)
     : _sched(driver::PointScheduler::Config { cfg.jobs,
                                               cfg.memCacheRows }),
-      _paperRepo(workloads::WorkloadScale::Paper),
-      _tinyRepo(workloads::WorkloadScale::Tiny)
+      _buildPool(std::make_shared<workloads::BuildPool>(cfg.jobs)),
+      _paperRepo(workloads::WorkloadScale::Paper, _buildPool),
+      _tinyRepo(workloads::WorkloadScale::Tiny, _buildPool)
 {}
 
 bool
@@ -273,11 +274,12 @@ SimService::execute(const SimRequest &req,
         }
     }
 
-    // Workloads build on the submitting thread during planning (the
-    // repo's get() is thread-safe and builds each name exactly once
-    // process-wide, so concurrent requests needing distinct mixes
-    // still synthesize them concurrently).
+    // Workloads build before planning, as one task graph on the
+    // service's synthesis budget. The repo builds each name once
+    // process-wide: a concurrent request needing a mix already in
+    // flight waits for that build instead of starting its own.
     workloads::WorkloadRepo &repo = this->repo(req.quick);
+    repo.prebuild(grid.workloadList());
 
     driver::RunPlan plan =
         planSweep(grid.expand(req.seed), repo, store,

@@ -53,7 +53,8 @@ namespace momsim::svc
 
 struct SimServiceConfig
 {
-    int jobs = 0;               ///< scheduler workers; 0 => all hardware
+    int jobs = 0;               ///< scheduler workers and workload
+                                ///< synthesis threads; 0 => all hardware
     /** In-memory LRU row-cache capacity, in rows (0 disables): warm
      *  points replay from memory without touching the disk store. */
     size_t memCacheRows = 4096;
@@ -144,6 +145,8 @@ class SimService
 
     driver::PointScheduler _sched;
     std::atomic<int> _active{ 0 };
+    /** One --jobs synthesis budget shared by both scales' repos. */
+    std::shared_ptr<workloads::BuildPool> _buildPool;
     workloads::WorkloadRepo _paperRepo;
     workloads::WorkloadRepo _tinyRepo;
 

@@ -224,8 +224,7 @@ TraceBuilder::emit(isa::Op op)
     isa::TraceInst inst;
     inst.op = static_cast<uint16_t>(op);
     inst.pc = advancePc();
-    _program.append(inst);
-    return _program.insts().back();
+    return _program.append(inst);
 }
 
 Program

@@ -1,27 +1,22 @@
 /**
  * @file
- * A bump arena for sealed trace storage.
+ * The owner of sealed trace storage.
  *
- * Workload builds produce one Program per benchmark instance, each with
- * its own heap-grown instruction vector scattered across the allocator.
- * Sealing the finished programs into an InstArena packs every trace of a
- * workload into one contiguous block, so a simulation walking several
- * programs round-robin streams through a single dense region instead of
- * pointer-chasing per-program allocations.
- *
- * The arena is reserve-then-append: capacity is fixed up front (the
- * owner counts its records first) and never reallocates afterwards,
- * because sealed Programs hold raw spans into the block.
+ * A workload build grows one InstBuffer per program. Sealing a
+ * finished program hands that buffer to the workload's InstArena
+ * instead of copying it: moving an InstBuffer keeps its heap block
+ * where it is, so the spans sealed Programs read through stay valid
+ * for the arena's lifetime and each trace record is written once.
+ * (A build buffer is already dense; packing the programs back to back
+ * bought nothing but a second copy of every trace.)
  */
 
 #ifndef MOMSIM_TRACE_INST_ARENA_HH
 #define MOMSIM_TRACE_INST_ARENA_HH
 
-#include <cstring>
-#include <memory>
+#include <vector>
 
-#include "common/logging.hh"
-#include "isa/trace_inst.hh"
+#include "trace/program.hh"
 
 namespace momsim::trace
 {
@@ -29,41 +24,21 @@ namespace momsim::trace
 class InstArena
 {
   public:
-    /**
-     * Size the block for @p records instructions. Only legal while the
-     * arena is unused — growing would move spans already handed out.
-     */
-    void
-    reserve(size_t records)
-    {
-        if (_used != 0)
-            panic("InstArena::reserve after spans were handed out");
-        _store = std::make_unique<isa::TraceInst[]>(records);
-        _capacity = records;
-        _used = 0;
-    }
-
-    /** Copy @p n records in; returns the stable span start. */
+    /** Own @p records; returns the stable start of their span. */
     const isa::TraceInst *
-    append(const isa::TraceInst *src, size_t n)
+    adopt(InstBuffer records)
     {
-        if (_used + n > _capacity)
-            panic("InstArena capacity exceeded; reserve() the full count");
-        isa::TraceInst *dst = _store.get() + _used;
-        if (n != 0)
-            std::memcpy(dst, src, n * sizeof(isa::TraceInst));
-        _used += n;
-        return dst;
+        _size += records.size();
+        _blocks.push_back(std::move(records));
+        return _blocks.back().data();
     }
 
-    size_t size() const { return _used; }
-    size_t capacity() const { return _capacity; }
-    const isa::TraceInst *data() const { return _store.get(); }
+    /** Trace records owned, over every adopted program. */
+    size_t size() const { return _size; }
 
   private:
-    std::unique_ptr<isa::TraceInst[]> _store;
-    size_t _capacity = 0;
-    size_t _used = 0;
+    std::vector<InstBuffer> _blocks;
+    size_t _size = 0;
 };
 
 } // namespace momsim::trace

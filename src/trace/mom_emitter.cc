@@ -232,10 +232,10 @@ namespace
 {
 
 // Shift helpers bound to fixed counts via thread-local capture-free
-// shims. thread_local matters: workloads build concurrently (distinct
-// specs synthesize outside the WorkloadRepo lock, and the service
-// plans requests in parallel), and the count is only live across the
-// unop() call that consumes it on the emitting thread.
+// shims. thread_local matters: programs synthesize concurrently (a
+// workload build is a task graph on several threads), and the count is
+// only live across the unop() call that consumes it on the emitting
+// thread.
 thread_local int g_shiftCount = 0;
 uint64_t shiftSll(uint64_t a) { return psllw(a, g_shiftCount); }
 uint64_t shiftSra(uint64_t a) { return psraw(a, g_shiftCount); }

@@ -1,9 +1,26 @@
 #include "trace/program.hh"
 
+#include <new>
+#include <type_traits>
+#include <utility>
+
 #include "trace/inst_arena.hh"
 
 namespace momsim::trace
 {
+
+void
+InstBuffer::grow()
+{
+    static_assert(std::is_trivially_copyable_v<isa::TraceInst>,
+                  "InstBuffer grows with realloc");
+    const size_t capacity = _capacity ? 2 * _capacity : 1024;
+    void *grown = std::realloc(_data, capacity * sizeof(isa::TraceInst));
+    if (!grown)
+        throw std::bad_alloc();
+    _data = static_cast<isa::TraceInst *>(grown);
+    _capacity = capacity;
+}
 
 MixSummary
 Program::computeMix() const
@@ -43,23 +60,20 @@ Program::seal(InstArena &arena)
     if (_sealed)
         return;
     mix();      // warm the memoized mix while the data is hot
-    _span = arena.append(_insts.data(), _insts.size());
     _spanSize = _insts.size();
+    _span = arena.adopt(std::move(_insts));
     _sealed = true;
-    // Release the build storage; the arena block is the trace now.
-    std::vector<isa::TraceInst>().swap(_insts);
 }
 
 Program
 Program::rebased(uint32_t delta, const std::string &newName) const
 {
     Program p(newName, _simd);
-    InstView src = insts();
-    p._insts.assign(src.begin(), src.end());
-    for (auto &inst : p._insts) {
+    for (isa::TraceInst inst : insts()) {
         inst.pc += delta;
         if (inst.isMemory() || inst.isControl())
             inst.addr += delta;
+        p._insts.push_back(inst);
     }
     p.mix();    // warm the memoized mix before the copy is shared
     return p;

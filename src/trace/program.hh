@@ -4,18 +4,20 @@
  * produced by the emulation libraries and consumed by the SMT core.
  *
  * A Program has two storage modes. While being built it owns a growable
- * vector; once finished it can be seal()ed into an InstArena, which
- * copies the records into the arena's contiguous block and drops the
- * vector — every consumer reads through the InstView returned by
- * insts(), which works identically in both modes.
+ * InstBuffer; once finished it can be seal()ed into an InstArena, which
+ * takes over that buffer (its records stay put, nothing is copied) and
+ * leaves the Program a read-only span — every consumer reads through
+ * the InstView returned by insts(), which works identically in both
+ * modes.
  */
 
 #ifndef MOMSIM_TRACE_PROGRAM_HH
 #define MOMSIM_TRACE_PROGRAM_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "common/logging.hh"
 #include "isa/simd_isa.hh"
@@ -78,6 +80,54 @@ class InstView
     size_t _size = 0;
 };
 
+/**
+ * Growable storage for a trace in build. TraceInst is trivially
+ * copyable, so the buffer grows with realloc: past the C library's
+ * mmap threshold that remaps pages instead of copying them, so a large
+ * trace is written once and never has two copies resident.
+ */
+class InstBuffer
+{
+  public:
+    InstBuffer() = default;
+    InstBuffer(InstBuffer &&other) noexcept { swap(other); }
+    InstBuffer &
+    operator=(InstBuffer &&other) noexcept
+    {
+        InstBuffer(std::move(other)).swap(*this);
+        return *this;
+    }
+    ~InstBuffer() { std::free(_data); }
+
+    isa::TraceInst &
+    push_back(const isa::TraceInst &inst)
+    {
+        if (_size == _capacity)
+            grow();
+        _data[_size] = inst;
+        return _data[_size++];
+    }
+
+    isa::TraceInst *data() { return _data; }
+    const isa::TraceInst *data() const { return _data; }
+    size_t size() const { return _size; }
+
+  private:
+    void grow();
+
+    void
+    swap(InstBuffer &other) noexcept
+    {
+        std::swap(_data, other._data);
+        std::swap(_size, other._size);
+        std::swap(_capacity, other._capacity);
+    }
+
+    isa::TraceInst *_data = nullptr;
+    size_t _size = 0;
+    size_t _capacity = 0;
+};
+
 /** A finished benchmark trace plus its identity and layout. */
 class Program
 {
@@ -97,35 +147,27 @@ class Program
                        : InstView(_insts.data(), _insts.size());
     }
 
-    /** Mutable access to the in-build trace; illegal once sealed. */
-    std::vector<isa::TraceInst> &
-    insts()
-    {
-        if (_sealed)
-            panic("mutating a sealed Program");
-        _mixValid = false;      // caller may mutate the trace
-        return _insts;
-    }
-
     size_t size() const { return _sealed ? _spanSize : _insts.size(); }
     bool empty() const { return size() == 0; }
     bool sealed() const { return _sealed; }
 
-    void
+    /** Append @p inst to the in-build trace; the caller may finish
+     *  filling in the returned record. Illegal once sealed. */
+    isa::TraceInst &
     append(const isa::TraceInst &inst)
     {
         if (_sealed)
             panic("appending to a sealed Program");
         _mixValid = false;
-        _insts.push_back(inst);
+        return _insts.push_back(inst);
     }
 
     /**
-     * Move the trace into @p arena's contiguous block and drop the
-     * build vector. Identity, layout and the memoized mix are
-     * unchanged (the mix is warmed first so sealed programs shared
-     * read-only across pool workers never compute it concurrently).
-     * Idempotent per program; the arena must have capacity reserved.
+     * Hand the build buffer to @p arena and keep a span over it: the
+     * records stay at the address they were built at. Identity,
+     * content and the memoized mix are unchanged (the mix is warmed
+     * first so sealed programs shared read-only across pool workers
+     * never compute it concurrently). Idempotent per program.
      */
     void seal(InstArena &arena);
 
@@ -161,8 +203,8 @@ class Program
 
     std::string _name;
     isa::SimdIsa _simd = isa::SimdIsa::Mmx;
-    std::vector<isa::TraceInst> _insts;     ///< build storage (unsealed)
-    const isa::TraceInst *_span = nullptr;  ///< arena storage (sealed)
+    InstBuffer _insts;                      ///< build storage (unsealed)
+    const isa::TraceInst *_span = nullptr;  ///< arena-owned (sealed)
     size_t _spanSize = 0;
     bool _sealed = false;
     mutable MixSummary _mix;

@@ -83,21 +83,72 @@ isEncoder(ProgramKind kind)
            kind == ProgramKind::JpegEnc;
 }
 
+/** The encoder whose bitstream decoder @p kind consumes. */
+ProgramKind
+encoderOf(ProgramKind kind)
+{
+    switch (kind) {
+      case ProgramKind::Mpeg2Dec:
+        return ProgramKind::Mpeg2Enc;
+      case ProgramKind::GsmDec:
+        return ProgramKind::GsmEnc;
+      default:
+        return ProgramKind::JpegEnc;
+    }
+}
+
 /**
- * Per-ISA build state: codec bitstreams flow from encoder builds to
- * decoder builds. When a recipe holds a decoder but not its encoder,
- * the stream comes from a throwaway encoder build placed in a scratch
- * slot past the rotation's end — deterministic, so the decoder trace
- * (and the fingerprint) depends only on the spec.
+ * Scheduling rank: the MPEG-2 chain (its encoder is by far the longest
+ * synthesis) and the in-order fingerprint fold start before anything
+ * else that is ready.
  */
-struct BuildStreams
+int
+rankOf(ProgramKind kind)
+{
+    return kind == ProgramKind::Mpeg2Enc || kind == ProgramKind::Mpeg2Dec
+               ? 0
+               : 1;
+}
+constexpr int kFoldRank = 0;
+
+/** Codec streams of one ISA, from encoder tasks to decoder tasks. */
+struct Streams
 {
     Mpeg2Bitstream video;
     GsmStream gsm;
     JpegStream jpeg;
-    bool haveVideo = false, haveGsm = false, haveJpeg = false;
-    int scratchSlot = 0;        ///< next scratch slot (starts at size)
 };
+
+/** What the tasks of one workload build share. */
+struct Synthesis
+{
+    ScaledConfigs cfg;
+    Streams streams[2];                 ///< [MMX, MOM]
+    uint64_t fingerprint = kHashSeed;   ///< folded in program order
+};
+
+/** Synthesize one first-slot program (or, for an encoder, a stream). */
+trace::Program
+synthesize(isa::SimdIsa simd, ProgramKind kind, uint32_t base,
+           const ScaledConfigs &cfg, Streams &st)
+{
+    switch (kind) {
+      case ProgramKind::Mpeg2Enc:
+        return buildMpeg2Encoder(simd, base, cfg.video, &st.video);
+      case ProgramKind::GsmEnc:
+        return buildGsmEncoder(simd, base, cfg.gsm, &st.gsm);
+      case ProgramKind::JpegEnc:
+        return buildJpegEncoder(simd, base, cfg.jpeg, &st.jpeg);
+      case ProgramKind::Mpeg2Dec:
+        return buildMpeg2Decoder(simd, base, st.video);
+      case ProgramKind::GsmDec:
+        return buildGsmDecoder(simd, base, st.gsm);
+      case ProgramKind::JpegDec:
+        return buildJpegDecoder(simd, base, st.jpeg);
+      default:
+        return buildMesa(simd, base, cfg.mesa);
+    }
+}
 
 } // namespace
 
@@ -110,13 +161,25 @@ MediaWorkload::build(WorkloadScale scale)
 std::unique_ptr<MediaWorkload>
 MediaWorkload::build(const WorkloadSpec &spec)
 {
+    BuildGraph graph;
+    std::unique_ptr<MediaWorkload> wl = schedule(spec, graph);
+    BuildPool(1).run(graph);
+    return wl;
+}
+
+std::unique_ptr<MediaWorkload>
+MediaWorkload::schedule(const WorkloadSpec &spec, BuildGraph &graph)
+{
     MOMSIM_ASSERT(!spec.slots.empty(), "workload spec has no slots");
     auto wl = std::make_unique<MediaWorkload>();
-    ScaledConfigs cfg = configsFor(spec.scale);
+    auto syn = std::make_shared<Synthesis>();
+    syn->cfg = configsFor(spec.scale);
     const int n = static_cast<int>(spec.slots.size());
 
     wl->_specName = spec.name;
     wl->_kinds = spec.slots;
+    wl->_mmx.resize(static_cast<size_t>(n));
+    wl->_mom.resize(static_cast<size_t>(n));
 
     // Instance names: the base benchmark name, with an ordinal suffix
     // from the second copy on (the paper's second MPEG-2 decoder is
@@ -140,118 +203,120 @@ MediaWorkload::build(const WorkloadSpec &spec)
         }
     }
 
+    // made[k]: the task that finishes program k, MMX slots first.
+    std::vector<BuildGraph::TaskId> made;
+    MediaWorkload *out = wl.get();
     for (isa::SimdIsa simd : { isa::SimdIsa::Mmx, isa::SimdIsa::Mom }) {
-        auto &arr = (simd == isa::SimdIsa::Mom) ? wl->_mom : wl->_mmx;
-        arr.resize(static_cast<size_t>(n));
-        BuildStreams st;
-        st.scratchSlot = n;
+        const int isaIx = simd == isa::SimdIsa::Mom ? 1 : 0;
+        std::vector<trace::Program> &arr = isaIx ? wl->_mom : wl->_mmx;
+        std::vector<BuildGraph::TaskId> slotTask(static_cast<size_t>(n));
+        // Task producing each codec's stream, indexed by encoder kind.
+        BuildGraph::TaskId streamTask[kNumProgramKinds] = {};
+        bool haveStream[kNumProgramKinds] = {};
 
-        // Pass 1: encoders at their first slots, producing the codec
-        // streams the decoder builds consume.
+        auto addProgram = [&](int slot, ProgramKind kind, uint32_t base) {
+            trace::Program *dst =
+                slot < n ? &arr[static_cast<size_t>(slot)] : nullptr;
+            return graph.add(
+                [syn, simd, isaIx, kind, base, dst] {
+                    trace::Program prog = synthesize(
+                        simd, kind, base, syn->cfg, syn->streams[isaIx]);
+                    if (dst)
+                        *dst = std::move(prog);
+                },
+                rankOf(kind));
+        };
+
+        // Encoders at their first slots, producing the codec streams
+        // the decoder tasks consume.
         for (int i = 0; i < n; ++i) {
             ProgramKind kind = spec.slots[static_cast<size_t>(i)];
             if (firstSlot[static_cast<size_t>(i)] != i || !isEncoder(kind))
                 continue;
-            uint32_t base = slotBase(i);
-            if (kind == ProgramKind::Mpeg2Enc) {
-                arr[static_cast<size_t>(i)] =
-                    buildMpeg2Encoder(simd, base, cfg.video, &st.video);
-                st.haveVideo = true;
-            } else if (kind == ProgramKind::GsmEnc) {
-                arr[static_cast<size_t>(i)] =
-                    buildGsmEncoder(simd, base, cfg.gsm, &st.gsm);
-                st.haveGsm = true;
-            } else {
-                arr[static_cast<size_t>(i)] =
-                    buildJpegEncoder(simd, base, cfg.jpeg, &st.jpeg);
-                st.haveJpeg = true;
-            }
+            slotTask[static_cast<size_t>(i)] =
+                streamTask[static_cast<int>(kind)] =
+                    addProgram(i, kind, slotBase(i));
+            haveStream[static_cast<int>(kind)] = true;
         }
 
-        // Pass 2: decoders and mesa at their first slots; streams still
-        // missing come from throwaway scratch-slot encoder builds.
+        // Decoders and mesa at their first slots. A stream still
+        // missing comes from a throwaway encoder build in the next
+        // scratch slot past the rotation's end, numbered in slot order
+        // so the decoder traces depend only on the spec.
+        int scratchSlot = n;
         for (int i = 0; i < n; ++i) {
             ProgramKind kind = spec.slots[static_cast<size_t>(i)];
             if (firstSlot[static_cast<size_t>(i)] != i || isEncoder(kind))
                 continue;
-            uint32_t base = slotBase(i);
-            switch (kind) {
-              case ProgramKind::Mpeg2Dec:
-                if (!st.haveVideo) {
-                    buildMpeg2Encoder(simd, slotBase(st.scratchSlot++),
-                                      cfg.video, &st.video);
-                    st.haveVideo = true;
+            BuildGraph::TaskId task = addProgram(i, kind, slotBase(i));
+            if (kind != ProgramKind::Mesa) {
+                const int enc = static_cast<int>(encoderOf(kind));
+                if (!haveStream[enc]) {
+                    streamTask[enc] =
+                        addProgram(scratchSlot, encoderOf(kind),
+                                   slotBase(scratchSlot));
+                    ++scratchSlot;
+                    haveStream[enc] = true;
                 }
-                arr[static_cast<size_t>(i)] =
-                    buildMpeg2Decoder(simd, base, st.video);
-                break;
-              case ProgramKind::GsmDec:
-                if (!st.haveGsm) {
-                    buildGsmEncoder(simd, slotBase(st.scratchSlot++),
-                                    cfg.gsm, &st.gsm);
-                    st.haveGsm = true;
-                }
-                arr[static_cast<size_t>(i)] =
-                    buildGsmDecoder(simd, base, st.gsm);
-                break;
-              case ProgramKind::JpegDec:
-                if (!st.haveJpeg) {
-                    buildJpegEncoder(simd, slotBase(st.scratchSlot++),
-                                     cfg.jpeg, &st.jpeg);
-                    st.haveJpeg = true;
-                }
-                arr[static_cast<size_t>(i)] =
-                    buildJpegDecoder(simd, base, st.jpeg);
-                break;
-              default:
-                arr[static_cast<size_t>(i)] =
-                    buildMesa(simd, base, cfg.mesa);
-                break;
+                graph.after(streamTask[enc], task);
             }
+            slotTask[static_cast<size_t>(i)] = task;
         }
 
-        // Pass 3: duplicate slots share the first instance's synthesis,
-        // rebased into their own address space.
+        // Duplicate slots share the first instance's synthesis, rebased
+        // into their own address space.
         for (int i = 0; i < n; ++i) {
-            int first = firstSlot[static_cast<size_t>(i)];
+            const int first = firstSlot[static_cast<size_t>(i)];
             if (first == i)
                 continue;
-            arr[static_cast<size_t>(i)] =
-                arr[static_cast<size_t>(first)].rebased(
-                    slotBase(i) - slotBase(first),
-                    wl->_names[static_cast<size_t>(i)]);
+            const trace::Program *src = &arr[static_cast<size_t>(first)];
+            trace::Program *dst = &arr[static_cast<size_t>(i)];
+            const uint32_t delta = slotBase(i) - slotBase(first);
+            const std::string *name = &wl->_names[static_cast<size_t>(i)];
+            BuildGraph::TaskId task = graph.add(
+                [src, dst, delta, name] { *dst = src->rebased(delta, *name); },
+                rankOf(spec.slots[static_cast<size_t>(i)]));
+            graph.after(slotTask[static_cast<size_t>(first)], task);
+            slotTask[static_cast<size_t>(i)] = task;
         }
+        made.insert(made.end(), slotTask.begin(), slotTask.end());
     }
 
-    // The equivalent-instruction counts are invariant once the traces
-    // exist; computing them here keeps rotation() — called once per
-    // experiment, possibly from many driver threads — free of
-    // O(trace-length) walks.
-    for (int i = 0; i < n; ++i) {
-        wl->_mmxEq.push_back(wl->_mmx[static_cast<size_t>(i)].mix().eqInsts);
-        wl->_momEq.push_back(wl->_mom[static_cast<size_t>(i)].mix().eqInsts);
+    // Content fingerprint over both ISAs' traces (see fingerprint()),
+    // one fold per program in the fixed order, each as soon as its
+    // program and the previous fold are done.
+    BuildGraph::TaskId prevFold = 0;
+    for (size_t k = 0; k < made.size(); ++k) {
+        const trace::Program *prog = k < static_cast<size_t>(n)
+                                         ? &wl->_mmx[k]
+                                         : &wl->_mom[k - static_cast<size_t>(n)];
+        BuildGraph::TaskId fold = graph.add(
+            [syn, prog] { syn->fingerprint = mixProgram(syn->fingerprint,
+                                                        *prog); },
+            kFoldRank);
+        graph.after(made[k], fold);
+        if (k != 0)
+            graph.after(prevFold, fold);
+        prevFold = fold;
     }
 
-    // Seal every finished program of both ISAs into one contiguous
-    // arena block: a simulation interleaving the rotation then streams
-    // through a single dense region instead of per-program heap
-    // allocations. Content (and therefore the fingerprint below) is
-    // unchanged — seal() is a straight copy.
-    size_t totalRecords = 0;
-    for (const auto *arr : { &wl->_mmx, &wl->_mom })
-        for (const trace::Program &prog : *arr)
-            totalRecords += prog.size();
-    wl->_arena.reserve(totalRecords);
-    for (auto *arr : { &wl->_mmx, &wl->_mom })
-        for (trace::Program &prog : *arr)
-            prog.seal(wl->_arena);
-
-    // Content fingerprint over both ISAs' traces (see fingerprint()).
-    uint64_t h = kHashSeed;
-    for (const auto *arr : { &wl->_mmx, &wl->_mom })
-        for (const trace::Program &prog : *arr)
-            h = mixProgram(h, prog);
-    wl->_fingerprint = h;
+    // Once every program is folded (and so every rebase has read its
+    // source), cache the equivalent-instruction counts — keeping
+    // rotation(), called once per experiment, free of O(trace) walks —
+    // and seal each trace in place.
+    BuildGraph::TaskId finish = graph.add(
+        [syn, out] {
+            for (size_t i = 0; i < out->_names.size(); ++i) {
+                out->_mmxEq.push_back(out->_mmx[i].mix().eqInsts);
+                out->_momEq.push_back(out->_mom[i].mix().eqInsts);
+            }
+            for (auto *arr : { &out->_mmx, &out->_mom })
+                for (trace::Program &prog : *arr)
+                    prog.seal(out->_arena);
+            out->_fingerprint = syn->fingerprint;
+        },
+        kFoldRank);
+    graph.after(prevFold, finish);
     return wl;
 }
 

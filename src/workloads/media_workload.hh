@@ -12,6 +12,15 @@
  * share one synthesis and are rebased into their own address space,
  * and decoder slots whose matching encoder is absent from the mix get
  * their bitstream from a throwaway encoder build.
+ *
+ * The build is a task graph (schedule()): one task per first-slot
+ * program per ISA, decoders after their codec's encoder, duplicates
+ * after the instance they rebase, and the fingerprint folded in
+ * program order as programs finish. Every task makes the same call
+ * with the same address base as a serial build, so the traces and the
+ * fingerprint do not depend on how many threads run the graph.
+ * Finished traces are sealed in place: the workload's InstArena takes
+ * over each program's build vector, so no record is copied.
  */
 
 #ifndef MOMSIM_WORKLOADS_MEDIA_WORKLOAD_HH
@@ -24,6 +33,7 @@
 #include "core/simulation.hh"
 #include "trace/inst_arena.hh"
 #include "trace/program.hh"
+#include "workloads/build_pool.hh"
 #include "workloads/workload_spec.hh"
 
 namespace momsim::workloads
@@ -35,11 +45,21 @@ class MediaWorkload
     /** Rotation size of the paper's Table-2 mix (the default spec). */
     static constexpr int kNumPrograms = 8;
 
-    /** Build every program of both ISAs for @p spec's recipe. */
+    /** Build every program of both ISAs for @p spec's recipe, serially
+     *  on the calling thread. */
     static std::unique_ptr<MediaWorkload> build(const WorkloadSpec &spec);
 
     /** The paper mix at the given scale (the pre-spec default). */
     static std::unique_ptr<MediaWorkload> build(WorkloadScale scale);
+
+    /**
+     * Add the synthesis tasks of @p spec to @p graph and return the
+     * workload they fill in. It is complete (sealed, fingerprinted)
+     * once the graph has run, must not be read before, and must
+     * outlive the run. Several workloads can share one graph.
+     */
+    static std::unique_ptr<MediaWorkload> schedule(const WorkloadSpec &spec,
+                                                   BuildGraph &graph);
 
     /** The spec name this workload was built from ("paper", ...). */
     const std::string &specName() const { return _specName; }
@@ -79,11 +99,11 @@ class MediaWorkload
      */
     uint64_t fingerprint() const { return _fingerprint; }
 
-    /** The packed trace block every sealed program points into. */
+    /** The storage every sealed program's span points into. */
     const trace::InstArena &arena() const { return _arena; }
 
   private:
-    /** Contiguous storage for every sealed trace of both ISAs. */
+    /** Owns the build vector of every sealed trace of both ISAs. */
     trace::InstArena _arena;
     std::vector<trace::Program> _mmx;
     std::vector<trace::Program> _mom;

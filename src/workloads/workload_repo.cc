@@ -1,10 +1,7 @@
 #include "workloads/workload_repo.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <exception>
 #include <set>
-#include <thread>
 
 #include "common/logging.hh"
 
@@ -14,25 +11,21 @@ namespace momsim::workloads
 std::shared_ptr<const MediaWorkload>
 WorkloadRepo::get(const std::string &name)
 {
+    Flight flight;
     {
         MutexLock lock(_mutex);
         auto it = _cache.find(name);
-        if (it != _cache.end())
-            return it->second;
+        if (it != _cache.end()) {
+            if (it->second.built)
+                return it->second.built;
+            flight = it->second.flight;
+        }
     }
-
-    WorkloadSpec spec;
-    if (!WorkloadSpec::byName(name, spec))
-        fatal("unknown workload '" + name + "' (see --list-workloads)");
-    spec.scale = _scale;
-
-    // Build outside the lock so distinct specs synthesize concurrently.
-    std::shared_ptr<const MediaWorkload> built = MediaWorkload::build(spec);
-
+    if (flight.valid())
+        return flight.get();
+    prebuild({ name });
     MutexLock lock(_mutex);
-    auto [it, inserted] = _cache.emplace(name, std::move(built));
-    (void)inserted;     // lost race: the earlier identical build wins
-    return it->second;
+    return _cache.at(name).built;
 }
 
 uint64_t
@@ -55,36 +48,66 @@ WorkloadRepo::missing(const std::vector<std::string> &names) const
 }
 
 void
-WorkloadRepo::prebuild(const std::vector<std::string> &names, int jobs)
+WorkloadRepo::prebuild(const std::vector<std::string> &names)
 {
-    const std::vector<std::string> todo = missing(names);
-    size_t threads = jobs > 0 ? static_cast<size_t>(jobs)
-                              : std::thread::hardware_concurrency();
-    threads = std::min(std::max<size_t>(threads, 1), todo.size());
-
-    // The calling thread builds too; helpers make up the rest. The
-    // first failure is rethrown once every build has stopped.
-    std::atomic<size_t> next { 0 };
-    momsim::Mutex errorMutex;
-    std::exception_ptr error;
-    auto drain = [&] {
-        try {
-            for (size_t i = next++; i < todo.size(); i = next++)
-                get(todo[i]);
-        } catch (...) {
-            MutexLock lock(errorMutex);
-            if (!error)
-                error = std::current_exception();
+    // Claim every name nobody has started; wait for any in flight.
+    std::vector<std::string> claimed;
+    std::vector<std::promise<std::shared_ptr<const MediaWorkload>>> promises;
+    std::vector<Flight> theirs;
+    {
+        MutexLock lock(_mutex);
+        for (const std::string &name : names) {
+            auto it = _cache.find(name);
+            if (it != _cache.end()) {
+                if (!it->second.built)
+                    theirs.push_back(it->second.flight);
+                continue;
+            }
+            promises.emplace_back();
+            _cache[name].flight = promises.back().get_future().share();
+            claimed.push_back(name);
+            ++_builds;
         }
-    };
-    std::vector<std::thread> helpers;
-    for (size_t t = 1; t < threads; ++t)
-        helpers.emplace_back(drain);
-    drain();
-    for (std::thread &t : helpers)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
+    }
+
+    if (!claimed.empty()) {
+        std::vector<std::shared_ptr<const MediaWorkload>> built;
+        std::exception_ptr error;
+        try {
+            BuildGraph graph;
+            for (const std::string &name : claimed) {
+                WorkloadSpec spec;
+                if (!WorkloadSpec::byName(name, spec))
+                    fatal("unknown workload '" + name +
+                          "' (see --list-workloads)");
+                spec.scale = _scale;
+                built.push_back(MediaWorkload::schedule(spec, graph));
+            }
+            _pool->run(graph);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        {
+            // A failed name is forgotten, so a later call retries it.
+            MutexLock lock(_mutex);
+            for (size_t i = 0; i < claimed.size(); ++i) {
+                if (error)
+                    _cache.erase(claimed[i]);
+                else
+                    _cache[claimed[i]].built = built[i];
+            }
+        }
+        for (size_t i = 0; i < promises.size(); ++i) {
+            if (error)
+                promises[i].set_exception(error);
+            else
+                promises[i].set_value(built[i]);
+        }
+        if (error)
+            std::rethrow_exception(error);
+    }
+    for (const Flight &flight : theirs)
+        flight.get();
 }
 
 size_t
@@ -92,6 +115,13 @@ WorkloadRepo::size() const
 {
     MutexLock lock(_mutex);
     return _cache.size();
+}
+
+size_t
+WorkloadRepo::builds() const
+{
+    MutexLock lock(_mutex);
+    return _builds;
 }
 
 } // namespace momsim::workloads

@@ -3,15 +3,22 @@
  * Tests for the workload-spec registry and the WorkloadRepo cache: name
  * resolution (fixed mixes and the paperxN pattern), recipe-driven
  * builds (paper-mix parity, duplicate-slot rebasing, decoder-only mixes
- * synthesizing their bitstreams), per-spec fingerprint distinctness,
- * and the repo's build-once sharing across lookups and concurrent
- * prebuilds.
+ * synthesizing their bitstreams), per-spec fingerprint distinctness
+ * and pinned values on any thread count, the repo's build-once sharing
+ * across lookups, prebuilds and concurrent callers, and the BuildPool
+ * that runs synthesis graphs under one thread budget.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "workloads/workload_repo.hh"
@@ -187,20 +194,137 @@ TEST(WorkloadRepo, BuildsOnceAndSharesThereafter)
 
 TEST(WorkloadRepo, PrebuildBuildsDistinctSpecsConcurrently)
 {
-    WorkloadRepo repo(WorkloadScale::Tiny);
+    WorkloadRepo repo(WorkloadScale::Tiny, 2);
     auto gsm = repo.get("gsmx8");
     // Duplicates and already-built names are skipped; the two missing
-    // specs build on two threads.
-    repo.prebuild({ "gsmx8", "jpegx8", "jpegx8", "mpeg2x8" }, 2);
+    // specs build as one graph on two threads.
+    repo.prebuild({ "gsmx8", "jpegx8", "jpegx8", "mpeg2x8" });
     EXPECT_EQ(repo.size(), 3u);
     EXPECT_TRUE(repo.missing({ "gsmx8", "jpegx8", "mpeg2x8" }).empty());
     EXPECT_EQ(repo.get("gsmx8").get(), gsm.get());
     EXPECT_NE(repo.fingerprintOf("gsmx8"), repo.fingerprintOf("jpegx8"));
     EXPECT_NE(repo.fingerprintOf("jpegx8"), repo.fingerprintOf("mpeg2x8"));
 
-    // Nothing left to build: a no-op, on any thread count.
-    repo.prebuild({ "jpegx8" }, 0);
+    // Nothing left to build: a no-op.
+    repo.prebuild({ "jpegx8" });
     EXPECT_EQ(repo.size(), 3u);
+    EXPECT_EQ(repo.builds(), 3u);
+}
+
+TEST(WorkloadRepo, ConcurrentCallersShareOneBuild)
+{
+    WorkloadRepo repo(WorkloadScale::Tiny, 4);
+    constexpr int kCallers = 8;
+    std::vector<const MediaWorkload *> got(kCallers, nullptr);
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i)
+        callers.emplace_back([&repo, &got, i] {
+            got[static_cast<size_t>(i)] = repo.get("encode-heavy").get();
+        });
+    for (std::thread &t : callers)
+        t.join();
+    EXPECT_EQ(repo.builds(), 1u);
+    ASSERT_NE(got[0], nullptr);
+    for (const MediaWorkload *wl : got)
+        EXPECT_EQ(wl, got[0]);
+}
+
+// Fingerprints of every registry mix plus paperx2 at tiny scale, as the
+// serial build produced them before synthesis ran as a task graph. They
+// key every persisted row, so they must hold on any thread count;
+// decode-heavy (no encoders) pins the scratch-slot numbering.
+TEST(WorkloadRepo, FingerprintsArePinnedOnAnyThreadCount)
+{
+    const std::pair<const char *, uint64_t> pinned[] = {
+        { "paper", 0x2273390f56b18a9aull },
+        { "decode-heavy", 0x92382377795bc96dull },
+        { "encode-heavy", 0x952e1dcf90048f4eull },
+        { "mpeg2x8", 0x93fb26ff7a435709ull },
+        { "gsmx8", 0xe666643475fbbd8full },
+        { "jpegx8", 0xba9cade43c0c6fc5ull },
+        { "paperx2", 0xb6c1645f45ef61a5ull },
+    };
+    std::vector<std::string> names;
+    for (const auto &[name, fp] : pinned)
+        names.push_back(name);
+    for (const WorkloadSpec &spec : WorkloadSpec::registry())
+        EXPECT_EQ(std::count(names.begin(), names.end(), spec.name), 1)
+            << spec.name << " has no pinned fingerprint";
+
+    for (int jobs : { 1, 4 }) {
+        WorkloadRepo repo(WorkloadScale::Tiny, jobs);
+        repo.prebuild(names);
+        for (const auto &[name, fp] : pinned)
+            EXPECT_EQ(repo.fingerprintOf(name), fp)
+                << name << " at --jobs " << jobs;
+    }
+    EXPECT_EQ(MediaWorkload::build(tinySpec("decode-heavy"))->fingerprint(),
+              0x92382377795bc96dull);
+}
+
+// ---------------------------------------------------------------------------
+// BuildPool
+// ---------------------------------------------------------------------------
+
+TEST(BuildPool, OneThreadRunsEveryTaskOnTheCallerInRankOrder)
+{
+    BuildGraph graph;
+    std::vector<int> order;
+    std::vector<std::thread::id> ran;
+    auto task = [&](int tag) {
+        return [&order, &ran, tag] {
+            order.push_back(tag);
+            ran.push_back(std::this_thread::get_id());
+        };
+    };
+    BuildGraph::TaskId slow = graph.add(task(1), 1);
+    BuildGraph::TaskId chain = graph.add(task(2), 0);
+    BuildGraph::TaskId tail = graph.add(task(3), 0);
+    graph.add(task(4), 1);
+    graph.after(chain, tail);
+    graph.after(slow, tail);
+    BuildPool(1).run(graph);
+    EXPECT_EQ(order, (std::vector<int> { 2, 1, 3, 4 }));
+    for (std::thread::id id : ran)
+        EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(BuildPool, ConcurrentRunsShareTheThreadBudget)
+{
+    BuildPool pool(2);
+    std::atomic<int> running { 0 };
+    std::atomic<int> peak { 0 };
+    auto work = [&running, &peak] {
+        int now = ++running;
+        for (int seen = peak.load(); now > seen &&
+                                     !peak.compare_exchange_weak(seen, now);)
+            ;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        --running;
+    };
+    std::vector<BuildGraph> graphs(3);
+    for (BuildGraph &g : graphs)
+        for (int i = 0; i < 6; ++i)
+            g.add(work, 0);
+    std::vector<std::thread> callers;
+    for (BuildGraph &g : graphs)
+        callers.emplace_back([&pool, &g] { pool.run(g); });
+    for (std::thread &t : callers)
+        t.join();
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), 2);
+}
+
+TEST(BuildPool, AFailedTaskStopsTheGraphAndRethrows)
+{
+    BuildGraph graph;
+    std::atomic<int> ran { 0 };
+    BuildGraph::TaskId bad =
+        graph.add([] { throw std::runtime_error("synthesis failed"); }, 0);
+    BuildGraph::TaskId dependent = graph.add([&ran] { ++ran; }, 0);
+    graph.after(bad, dependent);
+    EXPECT_THROW(BuildPool(3).run(graph), std::runtime_error);
+    EXPECT_EQ(ran.load(), 0);
 }
 
 } // namespace
