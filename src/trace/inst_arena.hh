@@ -6,7 +6,7 @@
  * finished program hands that buffer to the workload's InstArena
  * instead of copying it: moving an InstBuffer keeps its heap block
  * where it is, so the spans sealed Programs read through stay valid
- * for the arena's lifetime and each trace record is written once.
+ * for the arena's lifetime and sealing copies no record.
  * (A build buffer is already dense; packing the programs back to back
  * bought nothing but a second copy of every trace.)
  */

@@ -82,9 +82,9 @@ class InstView
 
 /**
  * Growable storage for a trace in build. TraceInst is trivially
- * copyable, so the buffer grows with realloc: past the C library's
- * mmap threshold that remaps pages instead of copying them, so a large
- * trace is written once and never has two copies resident.
+ * copyable, so the buffer grows with realloc: once a buffer is past
+ * the C library's mmap threshold, growing it remaps its pages instead
+ * of copying them. Smaller buffers still grow by allocate-copy-free.
  */
 class InstBuffer
 {

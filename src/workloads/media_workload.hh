@@ -20,7 +20,7 @@
  * with the same address base as a serial build, so the traces and the
  * fingerprint do not depend on how many threads run the graph.
  * Finished traces are sealed in place: the workload's InstArena takes
- * over each program's build vector, so no record is copied.
+ * over each program's build buffer, so no record is copied.
  */
 
 #ifndef MOMSIM_WORKLOADS_MEDIA_WORKLOAD_HH
@@ -103,7 +103,7 @@ class MediaWorkload
     const trace::InstArena &arena() const { return _arena; }
 
   private:
-    /** Owns the build vector of every sealed trace of both ISAs. */
+    /** Owns the build buffer of every sealed trace of both ISAs. */
     trace::InstArena _arena;
     std::vector<trace::Program> _mmx;
     std::vector<trace::Program> _mom;

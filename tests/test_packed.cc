@@ -319,17 +319,13 @@ TEST(SealedTrace, SealAdoptsTheBuildStorageWithIdenticalContent)
 {
     Program a = smallProgram("a", 40);
     Program b = smallProgram("b", 25);
-    // Read through const refs: the mutable insts() overload is (by
-    // design) illegal on sealed programs.
-    const Program &ca = a;
-    const Program &cb = b;
     // Snapshot the build-mode records, their address and the mix.
-    const isa::TraceInst *builtA = ca.insts().data();
-    const isa::TraceInst *builtB = cb.insts().data();
-    std::vector<isa::TraceInst> beforeA(ca.insts().begin(),
-                                        ca.insts().end());
-    std::vector<isa::TraceInst> beforeB(cb.insts().begin(),
-                                        cb.insts().end());
+    const isa::TraceInst *builtA = a.insts().data();
+    const isa::TraceInst *builtB = b.insts().data();
+    std::vector<isa::TraceInst> beforeA(a.insts().begin(),
+                                        a.insts().end());
+    std::vector<isa::TraceInst> beforeB(b.insts().begin(),
+                                        b.insts().end());
     MixSummary mixA = a.mix();
 
     InstArena arena;
@@ -342,15 +338,15 @@ TEST(SealedTrace, SealAdoptsTheBuildStorageWithIdenticalContent)
     ASSERT_EQ(b.size(), beforeB.size());
     EXPECT_EQ(arena.size(), a.size() + b.size());
 
-    // Sealing copies nothing: each span is the build vector's buffer,
-    // now owned by the arena.
-    EXPECT_EQ(ca.insts().data(), builtA);
-    EXPECT_EQ(cb.insts().data(), builtB);
+    // Sealing copies nothing: each span is the build buffer, now owned
+    // by the arena.
+    EXPECT_EQ(a.insts().data(), builtA);
+    EXPECT_EQ(b.insts().data(), builtB);
 
     // Byte-identical records through the view.
-    EXPECT_EQ(std::memcmp(ca.insts().data(), beforeA.data(),
+    EXPECT_EQ(std::memcmp(a.insts().data(), beforeA.data(),
                           beforeA.size() * sizeof(isa::TraceInst)), 0);
-    EXPECT_EQ(std::memcmp(cb.insts().data(), beforeB.data(),
+    EXPECT_EQ(std::memcmp(b.insts().data(), beforeB.data(),
                           beforeB.size() * sizeof(isa::TraceInst)), 0);
 
     // The memoized mix survives unchanged, and a second seal is a
@@ -361,7 +357,7 @@ TEST(SealedTrace, SealAdoptsTheBuildStorageWithIdenticalContent)
     EXPECT_EQ(a.mix().branches, mixA.branches);
     a.seal(arena);
     EXPECT_EQ(arena.size(), beforeA.size() + beforeB.size());
-    EXPECT_EQ(ca.insts().data(), builtA);
+    EXPECT_EQ(a.insts().data(), builtA);
 }
 
 TEST(SealedTrace, RebasedCopiesOfSealedProgramsAreUnsealed)
