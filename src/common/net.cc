@@ -15,10 +15,22 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 
 namespace momsim::net
 {
+
+bool
+parseHostPort(const std::string &text, std::string &host, int &port)
+{
+    const size_t colon = text.rfind(':');
+    if (colon == std::string::npos || colon == 0 ||
+        !parseIntFlag(text.c_str() + colon + 1, 1, port) || port > 65535)
+        return false;
+    host = text.substr(0, colon);
+    return true;
+}
 
 void
 FdGuard::reset(int fd)

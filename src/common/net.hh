@@ -111,6 +111,16 @@ int connectRetry(const std::function<int(std::string &)> &dial,
                  int retries, int backoffMs, std::string &error,
                  int *attempts = nullptr);
 
+/**
+ * Split "HOST:PORT" at its last ':' into a non-empty @p host and a
+ * @p port in 1..65535 (the whole rest, a decimal integer). False on
+ * anything else ("h:", "h:0", ":7000", "h:7x", "h"); the outputs are
+ * then unspecified. The one address parser behind `client --connect`,
+ * `loadgen --connect` and `coord --workers`, which each word their own
+ * error.
+ */
+bool parseHostPort(const std::string &text, std::string &host, int &port);
+
 // ---- socket setup: each returns an fd >= 0, or -1 with *error* ----
 
 /** Listening TCP socket bound to host:port (port 0 = ephemeral). */

@@ -6,12 +6,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <numeric>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "svc/json.hh"
 
 namespace momsim::driver
 {
@@ -31,113 +31,6 @@ exactNum(double v)
 {
     return strfmt("%.17g", v);
 }
-
-bool
-skipWs(const std::string &s, size_t &i)
-{
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t'))
-        ++i;
-    return i < s.size();
-}
-
-bool
-parseQuoted(const std::string &s, size_t &i, std::string &out)
-{
-    if (i >= s.size() || s[i] != '"')
-        return false;
-    ++i;
-    out.clear();
-    while (i < s.size() && s[i] != '"') {
-        char c = s[i++];
-        if (c != '\\') {
-            out += c;
-            continue;
-        }
-        if (i >= s.size())
-            return false;
-        char e = s[i++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (i + 4 > s.size())
-                return false;
-            unsigned v = 0;
-            for (int k = 0; k < 4; ++k) {
-                char h = s[i++];
-                v <<= 4;
-                if (h >= '0' && h <= '9')
-                    v |= static_cast<unsigned>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    v |= static_cast<unsigned>(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    v |= static_cast<unsigned>(h - 'A' + 10);
-                else
-                    return false;
-            }
-            if (v > 0xff)   // we never emit beyond Latin-1
-                return false;
-            out += static_cast<char>(v);
-            break;
-          }
-          default:
-            return false;
-        }
-    }
-    if (i >= s.size())
-        return false;
-    ++i;    // closing quote
-    return true;
-}
-
-/** A bare value (number / true / false) up to the next ',' or '}'. */
-bool
-parseBare(const std::string &s, size_t &i, std::string &out)
-{
-    out.clear();
-    while (i < s.size() && s[i] != ',' && s[i] != '}')
-        out += s[i++];
-    return !out.empty();
-}
-
-bool
-toU64(const std::string &tok, uint64_t &out)
-{
-    char *end = nullptr;
-    out = std::strtoull(tok.c_str(), &end, 10);
-    return end && *end == '\0' && !tok.empty();
-}
-
-bool
-toInt(const std::string &tok, int &out)
-{
-    char *end = nullptr;
-    long v = std::strtol(tok.c_str(), &end, 10);
-    if (!end || *end != '\0' || tok.empty())
-        return false;
-    out = static_cast<int>(v);
-    return true;
-}
-
-bool
-toDouble(const std::string &tok, double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(tok.c_str(), &end);
-    return end && *end == '\0' && !tok.empty();
-}
-
-/** Bit positions of the required row fields, for presence checking. */
-enum RowField : uint32_t
-{
-    kFSchema, kFId, kFWorkload, kFIsa, kFThreads, kFMem, kFPolicy,
-    kFVariant, kFSeed, kFCycles, kFCommittedEq, kFIpc, kFEipc, kFHeadline,
-    kFL1Hit, kFIcacheHit, kFL1Lat, kFMispredicts, kFCondBranches,
-    kFCompletions, kFHitCycleLimit, kFSimKcps, kFWallMs,
-    kFCount,
-};
 
 std::string
 serializeRowFields(const ResultRow &r)
@@ -173,19 +66,69 @@ serializeRowFields(const ResultRow &r)
     return out;
 }
 
-/** True when @p line carries a parseable "schema" field != current. */
+/**
+ * Fill @p out from a parsed row object. Every row field must be
+ * present and well typed, and "schema" must be kResultSchemaVersion;
+ * any other field (a store line's "key") is ignored.
+ */
 bool
-hasForeignSchema(const std::string &line)
+rowFromJson(const svc::JsonValue &doc, ResultRow &out)
 {
-    const std::string tag = "\"schema\":";
-    size_t i = line.find(tag);
-    if (i == std::string::npos)
+    auto str = [&doc](const char *name, std::string &v) {
+        const svc::JsonValue *f = doc.field(name);
+        if (!f || !f->isString())
+            return false;
+        v = f->text;
+        return true;
+    };
+    // An enum token's text, or "" (which no fromString accepts).
+    auto token = [&doc](const char *name) {
+        const svc::JsonValue *f = doc.field(name);
+        return f && f->isString() ? f->text.c_str() : "";
+    };
+    auto u64 = [&doc](const char *name, uint64_t &v) {
+        const svc::JsonValue *f = doc.field(name);
+        return f && f->toU64(v);
+    };
+    auto i32 = [&doc](const char *name, int &v) {
+        const svc::JsonValue *f = doc.field(name);
+        return f && f->toInt(v);
+    };
+    auto dbl = [&doc](const char *name, double &v) {
+        const svc::JsonValue *f = doc.field(name);
+        return f && f->toDouble(v);
+    };
+    auto flag = [&doc](const char *name, bool &v) {
+        const svc::JsonValue *f = doc.field(name);
+        if (!f || !f->isBool())
+            return false;
+        v = f->boolean;
+        return true;
+    };
+    ResultRow row;
+    int schema = 0;
+    if (!i32("schema", schema) || schema != kResultSchemaVersion ||
+        !str("id", row.id) || !str("workload", row.workload) ||
+        !isa::fromString(token("isa"), row.simd) ||
+        !i32("threads", row.threads) ||
+        !mem::fromString(token("mem"), row.memModel) ||
+        !cpu::fromString(token("policy"), row.policy) ||
+        !str("variant", row.variant) || !u64("seed", row.seed) ||
+        !u64("cycles", row.run.cycles) ||
+        !u64("committed_eq", row.run.committedEq) ||
+        !dbl("ipc", row.run.ipc) || !dbl("eipc", row.run.eipc) ||
+        !dbl("headline", row.headline) ||
+        !dbl("l1_hit_rate", row.run.l1HitRate) ||
+        !dbl("icache_hit_rate", row.run.icacheHitRate) ||
+        !dbl("l1_avg_latency", row.run.l1AvgLatency) ||
+        !u64("mispredicts", row.run.mispredicts) ||
+        !u64("cond_branches", row.run.condBranches) ||
+        !i32("completions", row.run.completions) ||
+        !flag("hit_cycle_limit", row.run.hitCycleLimit) ||
+        !dbl("sim_kcps", row.run.simKcps) || !dbl("wall_ms", row.run.wallMs))
         return false;
-    i += tag.size();
-    std::string tok;
-    int v = 0;
-    return parseBare(line, i, tok) && toInt(tok, v) &&
-           v != kResultSchemaVersion;
+    out = std::move(row);
+    return true;
 }
 
 /** Create every missing component of @p dir (mkdir -p). */
@@ -215,144 +158,11 @@ serializeResultRow(const ResultRow &row)
 }
 
 bool
-parseStoreLine(const std::string &line, std::string &key, ResultRow &out)
-{
-    key.clear();
-    ResultRow row;
-    uint32_t seen = 0;
-    auto mark = [&seen](RowField f) { seen |= 1u << f; };
-
-    size_t i = 0;
-    if (!skipWs(line, i) || line[i] != '{')
-        return false;
-    ++i;
-    for (;;) {
-        if (!skipWs(line, i))
-            return false;
-        if (line[i] == '}') {
-            ++i;
-            break;
-        }
-        if (line[i] == ',') {
-            ++i;
-            continue;
-        }
-        std::string name;
-        if (!parseQuoted(line, i, name))
-            return false;
-        if (!skipWs(line, i) || line[i] != ':')
-            return false;
-        ++i;
-        if (!skipWs(line, i))
-            return false;
-        if (line[i] == '"') {
-            std::string v;
-            if (!parseQuoted(line, i, v))
-                return false;
-            if (name == "key") {
-                key = v;
-            } else if (name == "id") {
-                row.id = v;
-                mark(kFId);
-            } else if (name == "workload") {
-                row.workload = v;
-                mark(kFWorkload);
-            } else if (name == "isa") {
-                if (!isa::fromString(v.c_str(), row.simd))
-                    return false;
-                mark(kFIsa);
-            } else if (name == "mem") {
-                if (!mem::fromString(v.c_str(), row.memModel))
-                    return false;
-                mark(kFMem);
-            } else if (name == "policy") {
-                if (!cpu::fromString(v.c_str(), row.policy))
-                    return false;
-                mark(kFPolicy);
-            } else if (name == "variant") {
-                row.variant = v;
-                mark(kFVariant);
-            }
-            // Unknown string fields are ignored (forward compatibility
-            // within a schema version).
-        } else {
-            std::string tok;
-            if (!parseBare(line, i, tok))
-                return false;
-            bool ok = true;
-            if (name == "schema") {
-                int v = 0;
-                ok = toInt(tok, v) && v == kResultSchemaVersion;
-                mark(kFSchema);
-            } else if (name == "threads") {
-                ok = toInt(tok, row.threads);
-                mark(kFThreads);
-            } else if (name == "seed") {
-                ok = toU64(tok, row.seed);
-                mark(kFSeed);
-            } else if (name == "cycles") {
-                ok = toU64(tok, row.run.cycles);
-                mark(kFCycles);
-            } else if (name == "committed_eq") {
-                ok = toU64(tok, row.run.committedEq);
-                mark(kFCommittedEq);
-            } else if (name == "ipc") {
-                ok = toDouble(tok, row.run.ipc);
-                mark(kFIpc);
-            } else if (name == "eipc") {
-                ok = toDouble(tok, row.run.eipc);
-                mark(kFEipc);
-            } else if (name == "headline") {
-                ok = toDouble(tok, row.headline);
-                mark(kFHeadline);
-            } else if (name == "l1_hit_rate") {
-                ok = toDouble(tok, row.run.l1HitRate);
-                mark(kFL1Hit);
-            } else if (name == "icache_hit_rate") {
-                ok = toDouble(tok, row.run.icacheHitRate);
-                mark(kFIcacheHit);
-            } else if (name == "l1_avg_latency") {
-                ok = toDouble(tok, row.run.l1AvgLatency);
-                mark(kFL1Lat);
-            } else if (name == "mispredicts") {
-                ok = toU64(tok, row.run.mispredicts);
-                mark(kFMispredicts);
-            } else if (name == "cond_branches") {
-                ok = toU64(tok, row.run.condBranches);
-                mark(kFCondBranches);
-            } else if (name == "completions") {
-                ok = toInt(tok, row.run.completions);
-                mark(kFCompletions);
-            } else if (name == "hit_cycle_limit") {
-                if (tok == "true")
-                    row.run.hitCycleLimit = true;
-                else if (tok == "false")
-                    row.run.hitCycleLimit = false;
-                else
-                    ok = false;
-                mark(kFHitCycleLimit);
-            } else if (name == "sim_kcps") {
-                ok = toDouble(tok, row.run.simKcps);
-                mark(kFSimKcps);
-            } else if (name == "wall_ms") {
-                ok = toDouble(tok, row.run.wallMs);
-                mark(kFWallMs);
-            }
-            if (!ok)
-                return false;
-        }
-    }
-    if (seen != (1u << kFCount) - 1)
-        return false;
-    out = std::move(row);
-    return true;
-}
-
-bool
 parseResultRow(const std::string &line, ResultRow &out)
 {
-    std::string key;
-    return parseStoreLine(line, key, out);
+    svc::JsonValue doc;
+    std::string error;
+    return svc::parseJson(line, doc, error) && rowFromJson(doc, out);
 }
 
 uint64_t
@@ -536,38 +346,46 @@ ResultStore::loadFile(const std::string &path)
     // find()/put() traffic on a shared store.
     std::vector<std::pair<std::string, ResultRow>> parsed;
     size_t foreignRows = 0;
+    svc::JsonValue doc;     // one document reused for every line
+    std::string line, error;
     size_t start = 0;
     while (start < text.size()) {
         size_t eol = text.find('\n', start);
         bool lastLine = eol == std::string::npos;
         if (lastLine)
             eol = text.size();
-        std::string line = text.substr(start, eol - start);
+        line.assign(text, start, eol - start);
         start = eol + 1;
         if (line.empty())
             continue;
-        std::string key;
-        ResultRow row;
-        if (!parseStoreLine(line, key, row) || key.empty()) {
+        if (svc::parseJson(line, doc, error)) {
+            const svc::JsonValue *key = doc.field("key");
+            ResultRow row;
+            if (key && key->isString() && !key->text.empty() &&
+                rowFromJson(doc, row)) {
+                parsed.emplace_back(key->text, std::move(row));
+                continue;
+            }
             // Rows written under another schema version are not
             // corruption — they simply can never hit (the key embeds
             // the version), so a bumped binary reuses the same store
             // and old rows fall away as misses.
-            if (hasForeignSchema(line)) {
+            const svc::JsonValue *schema = doc.field("schema");
+            int version = 0;
+            if (schema && schema->toInt(version) &&
+                version != kResultSchemaVersion) {
                 ++foreignRows;
                 continue;
             }
-            // A truncated final line means a writer died mid-append;
-            // the rows before it are still good. Anything else is
-            // corruption the caller must know about.
-            if (lastLine) {
-                warn("result store: ignoring truncated final line in " +
-                     path);
-                continue;
-            }
-            return false;
         }
-        parsed.emplace_back(std::move(key), std::move(row));
+        // A truncated final line means a writer died mid-append; the
+        // rows before it are still good. Anything else is corruption
+        // the caller must know about.
+        if (lastLine) {
+            warn("result store: ignoring truncated final line in " + path);
+            continue;
+        }
+        return false;
     }
     if (foreignRows)
         warn(strfmt("result store: skipped %zu row(s) of another schema "

@@ -74,16 +74,14 @@ uint64_t configFingerprint(const ExperimentSpec &spec);
 std::string serializeResultRow(const ResultRow &row);
 
 /**
- * Parse a line produced by serializeResultRow (or a store line, whose
- * extra "key" field is ignored). Strict: every row field must be
- * present and well formed, and a "schema" field must match
- * kResultSchemaVersion. Doubles round-trip exactly.
+ * Parse a line produced by serializeResultRow (the fabric's row
+ * payload) with the service's strict JSON parser (svc/json.hh), the
+ * same reader ResultStore uses for its own lines. The line must be
+ * one JSON object, every row field present and well typed, and
+ * "schema" equal to kResultSchemaVersion; unknown fields (a store
+ * line's "key") are ignored. Doubles round-trip exactly.
  */
 bool parseResultRow(const std::string &line, ResultRow &out);
-
-/** Store-line variant that also surfaces the cache key. */
-bool parseStoreLine(const std::string &line, std::string &key,
-                    ResultRow &out);
 
 /** The lookup key: canonical id + limits + fingerprint + schema. */
 std::string resultCacheKey(const ExperimentSpec &spec,
@@ -128,8 +126,10 @@ class ResultStore
 
     /**
      * Merge @p path's rows into the lookup map without adopting it as
-     * the append target. A truncated final line (a crashed writer) is
-     * ignored; corruption anywhere else fails the load.
+     * the append target. Each line is parsed as parseResultRow does
+     * and must carry a non-empty "key". Rows of another schema version
+     * are counted and skipped. A truncated final line (a crashed
+     * writer) is ignored; corruption anywhere else fails the load.
      */
     bool loadFile(const std::string &path);
 

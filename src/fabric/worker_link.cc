@@ -1,7 +1,6 @@
 #include "fabric/worker_link.hh"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "common/logging.hh"
 
@@ -29,24 +28,12 @@ parseWorkerAddr(const std::string &text, WorkerAddr &out,
         }
         return true;
     }
-    const size_t colon = text.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 == text.size()) {
-        error = strfmt("bad worker address \"%s\" (want HOST:PORT or "
-                       "unix:PATH)", text.c_str());
-        return false;
-    }
     out.isUnix = false;
-    out.host = text.substr(0, colon);
-    char *end = nullptr;
-    const std::string portText = text.substr(colon + 1);
-    const long port = std::strtol(portText.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || port < 1 || port > 65535) {
-        error = strfmt("bad worker port \"%s\" (want 1..65535)",
-                       portText.c_str());
+    if (!net::parseHostPort(text, out.host, out.port)) {
+        error = strfmt("bad worker address \"%s\" (want HOST:PORT, PORT "
+                       "in 1..65535, or unix:PATH)", text.c_str());
         return false;
     }
-    out.port = static_cast<int>(port);
     return true;
 }
 

@@ -53,12 +53,18 @@ struct Parser
             return fail("expected '\"'");
         ++i;
         out.clear();
-        while (i < text.size() && text[i] != '"') {
-            char c = text[i++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
+        for (;;) {
+            // Append each run of plain bytes with one call.
+            size_t run = i;
+            while (run < text.size() && text[run] != '"' &&
+                   text[run] != '\\')
+                ++run;
+            out.append(text, i, run - i);
+            i = run;
+            if (i >= text.size())
+                return fail("unterminated string");
+            if (text[i++] == '"')
+                return true;
             if (i >= text.size())
                 return fail("unterminated escape");
             char e = text[i++];
@@ -66,6 +72,8 @@ struct Parser
               case '"': out += '"'; break;
               case '\\': out += '\\'; break;
               case '/': out += '/'; break;
+              case 'b': out += '\b'; break;
+              case 'f': out += '\f'; break;
               case 'n': out += '\n'; break;
               case 't': out += '\t'; break;
               case 'r': out += '\r'; break;
@@ -94,10 +102,6 @@ struct Parser
                 return fail(strfmt("bad escape '\\%c'", e));
             }
         }
-        if (i >= text.size())
-            return fail("unterminated string");
-        ++i;    // closing quote
-        return true;
     }
 
     /** The JSON number grammar, exactly:
@@ -151,13 +155,104 @@ struct Parser
             ++i;
         if (i == start)
             return fail("expected a number");
-        out.kind = JsonValue::Kind::Number;
-        out.text = text.substr(start, i - start);
+        out.text.assign(text, start, i - start);
         // Strict: exactly the JSON grammar, not whatever strtod takes
         // ("+5", "5.", ".5" and "1e" all reject).
         if (!validNumberToken(out.text))
             return fail(strfmt("bad number '%s'", out.text.c_str()));
         return true;
+    }
+
+    /**
+     * Make @p v an empty value of kind @p k. Strings keep their
+     * capacity, and the child vector kind @p k uses keeps its elements
+     * for the caller to overwrite in place.
+     */
+    static void
+    reset(JsonValue &v, JsonValue::Kind k)
+    {
+        v.kind = k;
+        v.boolean = false;
+        v.text.clear();
+        if (k != JsonValue::Kind::Array)
+            v.items.clear();
+        if (k != JsonValue::Kind::Object)
+            v.fields.clear();
+    }
+
+    bool
+    parseObject(JsonValue &out, int depth)
+    {
+        auto &fields = out.fields;
+        size_t n = 0;   // fields parsed; slots past n are reused storage
+        skipWs();
+        if (i < text.size() && text[i] == '}') {
+            ++i;
+            fields.clear();
+            return true;
+        }
+        for (;;) {
+            skipWs();
+            if (n == fields.size())
+                fields.emplace_back();
+            auto &slot = fields[n];
+            if (!parseString(slot.first))
+                return false;
+            for (size_t k = 0; k < n; ++k) {
+                if (fields[k].first == slot.first)
+                    return fail(strfmt("duplicate key \"%s\"",
+                                       slot.first.c_str()));
+            }
+            skipWs();
+            if (i >= text.size() || text[i] != ':')
+                return fail("expected ':'");
+            ++i;
+            if (!parseValue(slot.second, depth + 1))
+                return false;
+            ++n;
+            skipWs();
+            if (i < text.size() && text[i] == ',') {
+                ++i;
+                continue;
+            }
+            if (i < text.size() && text[i] == '}') {
+                ++i;
+                fields.resize(n);
+                return true;
+            }
+            return fail("expected ',' or '}'");
+        }
+    }
+
+    bool
+    parseArray(JsonValue &out, int depth)
+    {
+        auto &items = out.items;
+        size_t n = 0;   // items parsed; slots past n are reused storage
+        skipWs();
+        if (i < text.size() && text[i] == ']') {
+            ++i;
+            items.clear();
+            return true;
+        }
+        for (;;) {
+            if (n == items.size())
+                items.emplace_back();
+            if (!parseValue(items[n], depth + 1))
+                return false;
+            ++n;
+            skipWs();
+            if (i < text.size() && text[i] == ',') {
+                ++i;
+                continue;
+            }
+            if (i < text.size() && text[i] == ']') {
+                ++i;
+                items.resize(n);
+                return true;
+            }
+            return fail("expected ',' or ']'");
+        }
     }
 
     bool
@@ -171,85 +266,32 @@ struct Parser
         char c = text[i];
         if (c == '{') {
             ++i;
-            out.kind = JsonValue::Kind::Object;
-            skipWs();
-            if (i < text.size() && text[i] == '}') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                skipWs();
-                std::string name;
-                if (!parseString(name))
-                    return false;
-                for (const auto &f : out.fields) {
-                    if (f.first == name)
-                        return fail(strfmt("duplicate key \"%s\"",
-                                           name.c_str()));
-                }
-                skipWs();
-                if (i >= text.size() || text[i] != ':')
-                    return fail("expected ':'");
-                ++i;
-                JsonValue v;
-                if (!parseValue(v, depth + 1))
-                    return false;
-                out.fields.emplace_back(std::move(name), std::move(v));
-                skipWs();
-                if (i < text.size() && text[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                if (i < text.size() && text[i] == '}') {
-                    ++i;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
+            reset(out, JsonValue::Kind::Object);
+            return parseObject(out, depth);
         }
         if (c == '[') {
             ++i;
-            out.kind = JsonValue::Kind::Array;
-            skipWs();
-            if (i < text.size() && text[i] == ']') {
-                ++i;
-                return true;
-            }
-            for (;;) {
-                JsonValue v;
-                if (!parseValue(v, depth + 1))
-                    return false;
-                out.items.push_back(std::move(v));
-                skipWs();
-                if (i < text.size() && text[i] == ',') {
-                    ++i;
-                    continue;
-                }
-                if (i < text.size() && text[i] == ']') {
-                    ++i;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
+            reset(out, JsonValue::Kind::Array);
+            return parseArray(out, depth);
         }
         if (c == '"') {
-            out.kind = JsonValue::Kind::String;
+            reset(out, JsonValue::Kind::String);
             return parseString(out.text);
         }
         if (c == 't') {
-            out.kind = JsonValue::Kind::Bool;
+            reset(out, JsonValue::Kind::Bool);
             out.boolean = true;
             return literal("true", 4);
         }
         if (c == 'f') {
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
+            reset(out, JsonValue::Kind::Bool);
             return literal("false", 5);
         }
         if (c == 'n') {
-            out.kind = JsonValue::Kind::Null;
+            reset(out, JsonValue::Kind::Null);
             return literal("null", 4);
         }
+        reset(out, JsonValue::Kind::Number);
         return parseNumber(out);
     }
 };
@@ -257,8 +299,10 @@ struct Parser
 } // namespace
 
 const JsonValue *
-JsonValue::field(const std::string &name) const
+JsonValue::field(std::string_view name) const
 {
+    if (kind != Kind::Object)
+        return nullptr;
     for (const auto &f : fields) {
         if (f.first == name)
             return &f.second;
@@ -307,8 +351,7 @@ bool
 parseJson(const std::string &text, JsonValue &out, std::string &error)
 {
     Parser p(text);
-    JsonValue v;
-    if (!p.parseValue(v, 0)) {
+    if (!p.parseValue(out, 0)) {
         error = p.error;
         return false;
     }
@@ -317,7 +360,17 @@ parseJson(const std::string &text, JsonValue &out, std::string &error)
         error = strfmt("json: trailing garbage at offset %zu", p.i);
         return false;
     }
-    out = std::move(v);
+    return true;
+}
+
+bool
+parseJsonString(const std::string &text, size_t &pos, std::string &out)
+{
+    Parser p(text);
+    p.i = pos;
+    if (!p.parseString(out))
+        return false;
+    pos = p.i;
     return true;
 }
 

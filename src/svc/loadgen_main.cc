@@ -205,22 +205,11 @@ runLoadgen(int argc, char **argv)
     }
 
     std::string host;
-    int port = -1;
-    if (unixPath.empty()) {
-        size_t colon = connectAddr.rfind(':');
-        if (colon != std::string::npos) {
-            char *end = nullptr;
-            long parsed =
-                std::strtol(connectAddr.c_str() + colon + 1, &end, 10);
-            if (end && *end == '\0' && parsed >= 0 && parsed <= 65535)
-                port = static_cast<int>(parsed);
-        }
-        if (port < 0) {
-            std::fprintf(stderr, "%s: bad --connect '%s' (want "
-                         "HOST:PORT)\n", cmd, connectAddr.c_str());
-            return 2;
-        }
-        host = connectAddr.substr(0, colon);
+    int port = 0;
+    if (unixPath.empty() && !net::parseHostPort(connectAddr, host, port)) {
+        std::fprintf(stderr, "%s: bad --connect '%s' (want "
+                     "HOST:PORT)\n", cmd, connectAddr.c_str());
+        return 2;
     }
 
     std::vector<std::string> isas = splitCommas(isasList);

@@ -209,56 +209,13 @@ SimRequest::fromJson(const std::string &json, SimRequest &out,
     return true;
 }
 
-namespace
-{
-
-/**
- * Read one JSON string literal starting at the opening quote
- * (line[pos] == '"'). On success leaves @p pos one past the closing
- * quote and fills @p out with the unescaped value. Conservative: an
- * unterminated string or an escape it does not understand fails, and
- * the caller salvages nothing rather than something wrong.
- */
-bool
-scanString(const std::string &line, size_t &pos, std::string &out)
-{
-    out.clear();
-    for (++pos; pos < line.size(); ++pos) {
-        char c = line[pos];
-        if (c == '"') {
-            ++pos;
-            return true;
-        }
-        if (c != '\\') {
-            out += c;
-            continue;
-        }
-        if (++pos >= line.size())
-            return false;
-        switch (line[pos]) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          default: return false;    // \uXXXX etc.: too clever to salvage
-        }
-    }
-    return false;
-}
-
-} // namespace
-
 std::string
 salvageTopLevelId(const std::string &line)
 {
     // Walk the line tracking brace/bracket depth and string literals;
     // at depth 1, a string immediately followed by ':' is a key. The
     // input is known-malformed somewhere, so the walk never trusts it:
-    // any string that fails to scan ends the salvage.
+    // any string literal parseJsonString rejects ends the salvage.
     int depth = 0;
     size_t pos = 0;
     bool atKey = false;     // last token was a depth-1 key named "id"
@@ -266,7 +223,7 @@ salvageTopLevelId(const std::string &line)
         char c = line[pos];
         if (c == '"') {
             std::string text;
-            if (!scanString(line, pos, text))
+            if (!parseJsonString(line, pos, text))
                 return "";
             if (atKey)
                 return text;    // the value of a top-level "id" key

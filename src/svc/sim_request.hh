@@ -94,10 +94,13 @@ struct SimRequest
  * Best-effort recovery of the top-level "id" string from a line that
  * failed fromJson, so even the bad_request response for an unparseable
  * request can echo the tag the client sent and be correlated. Lenient
- * by design: scans for a top-level `"id": "<string>"` pair without
- * requiring the rest of the line to be JSON at all; returns "" when no
- * such pair can be salvaged. Never used on the success path — real
- * parsing stays strict.
+ * about structure: it tracks brace and bracket depth to find a
+ * top-level `"id": "<string>"` pair without requiring the rest of the
+ * line to be JSON at all. Strict about strings: every string literal
+ * it passes is read by parseJsonString (svc/json.hh), the parser's own
+ * string grammar, and one that does not parse ends the salvage.
+ * Returns "" when no such pair can be salvaged. Never used on the
+ * success path — real parsing stays strict.
  */
 std::string salvageTopLevelId(const std::string &line);
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: logging, RNG, fixed point, stats,
- * bit I/O.
+ * bit I/O, HOST:PORT parsing.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "common/bitio.hh"
 #include "common/fixed.hh"
 #include "common/logging.hh"
+#include "common/net.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -22,6 +23,17 @@ TEST(Strfmt, FormatsLikePrintf)
     EXPECT_EQ(strfmt("%d-%s", 42, "x"), "42-x");
     EXPECT_EQ(strfmt("%05.1f", 3.25), "003.2");
     EXPECT_EQ(strfmt("empty"), "empty");
+}
+
+TEST(Net, ParseHostPortWantsAHostAndAPortIn1To65535)
+{
+    std::string host;
+    int port = 0;
+    ASSERT_TRUE(net::parseHostPort("127.0.0.1:7000", host, port));
+    EXPECT_EQ(host, "127.0.0.1");
+    EXPECT_EQ(port, 7000);
+    for (const char *bad : { "h:", "h:0", ":7000", "h:65536", "h:7x", "h" })
+        EXPECT_FALSE(net::parseHostPort(bad, host, port)) << bad;
 }
 
 TEST(Rng, DeterministicAcrossInstances)

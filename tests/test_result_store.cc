@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -156,6 +157,19 @@ TEST(ResultRowSerialization, RejectsMissingFieldsAndGarbage)
     size_t end = noSeed.find(',', pos);
     noSeed.erase(pos, end - pos + 1);
     EXPECT_FALSE(parseResultRow(noSeed, out));
+
+    // One JSON object with each field once, nothing more: trailing
+    // bytes, a repeated field and a non-JSON number token all reject.
+    EXPECT_FALSE(parseResultRow(line + "x", out));
+    std::string twice = line;
+    twice.insert(twice.size() - 1, ",\"threads\":8");
+    EXPECT_FALSE(parseResultRow(twice, out));
+    std::string nanIpc = line;
+    pos = nanIpc.find("\"ipc\":");
+    ASSERT_NE(pos, std::string::npos);
+    pos += 6;
+    nanIpc.replace(pos, nanIpc.find(',', pos) - pos, "nan");
+    EXPECT_FALSE(parseResultRow(nanIpc, out));
 }
 
 TEST(ResultRowSerialization, RejectsForeignOrAbsentSchemaVersion)
@@ -277,6 +291,30 @@ wipeStoreDir(const std::string &dir)
     std::remove((dir + "/" + ResultStore::kFileName).c_str());
 }
 
+std::string
+readWhole(const std::string &path)
+{
+    std::string text;
+    std::FILE *f = std::fopen(path.c_str(), "r");
+    if (!f)
+        return text;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        text.append(buf, n);
+    std::fclose(f);
+    return text;
+}
+
+void
+writeWhole(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr) << path;
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+}
+
 TEST(ResultStore, PersistsAcrossReopen)
 {
     const std::string dir = "test_result_store.persist";
@@ -338,30 +376,80 @@ TEST(ResultStore, ForeignSchemaRowsAreSkippedNotFatal)
     }
     // Splice in a v1-era row (mid-file, before the current-schema row).
     const std::string file = dir + "/" + ResultStore::kFileName;
-    std::string current;
-    {
-        std::FILE *f = std::fopen(file.c_str(), "r");
-        ASSERT_NE(f, nullptr);
-        char buf[4096];
-        size_t n;
-        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            current.append(buf, n);
-        std::fclose(f);
-    }
-    std::string oldLine =
-        "{\"key\":\"kold\",\"schema\":1,\"id\":\"x\"}\n";
-    {
-        std::FILE *f = std::fopen(file.c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs(oldLine.c_str(), f);
-        std::fputs(current.c_str(), f);
-        std::fclose(f);
-    }
+    writeWhole(file, "{\"key\":\"kold\",\"schema\":1,\"id\":\"x\"}\n" +
+                         readWhole(file));
     ResultStore reopened;
     ASSERT_TRUE(reopened.openDir(dir));
     EXPECT_EQ(reopened.size(), 1u);
     EXPECT_EQ(reopened.lookup("kold"), nullptr);
     EXPECT_NE(reopened.lookup("knew"), nullptr);
+}
+
+TEST(ResultStore, UnknownFieldsOfEveryJsonTypeAreIgnored)
+{
+    // Forward compatibility within a schema version: a current-schema
+    // line may carry fields this build does not know, of any type.
+    const std::string dir = "test_result_store.unknown";
+    wipeStoreDir(dir);
+    const ResultRow row = sampleRow();
+    const std::string line = serializeResultRow(row);
+    const char *extras[] = {
+        "\"u_string\":\"x\"", "\"u_number\":-1.5e3",
+        "\"u_bool\":true",     "\"u_null\":null",
+        "\"u_array\":[1,[\"x\"],{}]",
+        "\"u_object\":{\"id\":\"not-this\",\"n\":{\"k\":[]}}",
+    };
+    std::string file;
+    for (size_t k = 0; k < std::size(extras); ++k) {
+        // First, so the row's own fields follow the unknown value.
+        std::string withExtra = "{" + std::string(extras[k]) + "," +
+                                line.substr(1);
+        ResultRow back;
+        ASSERT_TRUE(parseResultRow(withExtra, back)) << withExtra;
+        expectRowsBitIdentical(row, back);
+        EXPECT_EQ(serializeResultRow(back), line);
+        file += strfmt("{\"key\":\"k%zu\",", k) + withExtra.substr(1) +
+                "\n";
+    }
+    ResultStore store;
+    ASSERT_TRUE(store.openDir(dir));    // creates the dir
+    writeWhole(dir + "/" + ResultStore::kFileName, file);
+    ASSERT_TRUE(store.loadFile(dir + "/" + ResultStore::kFileName));
+    ASSERT_EQ(store.size(), std::size(extras));
+    for (size_t k = 0; k < std::size(extras); ++k) {
+        const ResultRow *hit = store.lookup(strfmt("k%zu", k));
+        ASSERT_NE(hit, nullptr) << k;
+        expectRowsBitIdentical(row, *hit);
+    }
+}
+
+TEST(ResultStore, CorruptLineBeforeTheLastFailsTheLoad)
+{
+    // Only the final line may be damaged (a writer that died
+    // mid-append); a bad line anywhere before it is corruption, and
+    // both openDir and loadFile refuse the store.
+    const std::string dir = "test_result_store.corrupt";
+    wipeStoreDir(dir);
+    {
+        ResultStore store;
+        ASSERT_TRUE(store.openDir(dir));
+        store.put("k1", sampleRow());
+        store.put("k2", sampleRow());
+    }
+    const std::string file = dir + "/" + ResultStore::kFileName;
+    const std::string good = readWhole(file);
+    const size_t secondLine = good.find('\n') + 1;
+    std::string noKey = serializeResultRow(sampleRow()) + "\n";
+    for (const std::string &bad :
+         { std::string("garbage\n"), std::string("{\"key\":\"k3\"}\n"),
+           noKey }) {
+        writeWhole(file, good.substr(0, secondLine) + bad +
+                             good.substr(secondLine));
+        ResultStore reopened;
+        EXPECT_FALSE(reopened.openDir(dir)) << bad;
+        ResultStore merged;
+        EXPECT_FALSE(merged.loadFile(file)) << bad;
+    }
 }
 
 TEST(ResultStore, LoadFileMergesForeignStores)

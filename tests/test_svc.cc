@@ -95,6 +95,79 @@ TEST(Json, NumbersKeepExact64BitValues)
         error));
 }
 
+TEST(Json, DecodesEveryStringEscape)
+{
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(parseJson(R"(["\" \\ \/ \b \f \n \r \t \u00e9"])", v,
+                          error))
+        << error;
+    ASSERT_TRUE(v.isArray());
+    ASSERT_EQ(v.items.size(), 1u);
+    EXPECT_EQ(v.items[0].text, "\" \\ / \b \f \n \r \t \xe9");
+
+    // The exported literal reader is the same grammar, and it reports
+    // where the literal ended.
+    const std::string text = R"(x"a\u0041\bz" tail)";
+    size_t pos = 1;
+    std::string out;
+    ASSERT_TRUE(parseJsonString(text, pos, out));
+    EXPECT_EQ(out, "aA\bz");
+    EXPECT_EQ(text.substr(pos), " tail");
+    pos = 0;
+    EXPECT_FALSE(parseJsonString("\"unterminated", pos, out));
+    pos = 0;
+    EXPECT_FALSE(parseJsonString("\"bad \\q escape\"", pos, out));
+}
+
+/** Structural equality of two parsed documents, every member. */
+bool
+sameJson(const JsonValue &a, const JsonValue &b)
+{
+    if (a.kind != b.kind || a.boolean != b.boolean || a.text != b.text ||
+        a.items.size() != b.items.size() ||
+        a.fields.size() != b.fields.size())
+        return false;
+    for (size_t k = 0; k < a.items.size(); ++k) {
+        if (!sameJson(a.items[k], b.items[k]))
+            return false;
+    }
+    for (size_t k = 0; k < a.fields.size(); ++k) {
+        if (a.fields[k].first != b.fields[k].first ||
+            !sameJson(a.fields[k].second, b.fields[k].second))
+            return false;
+    }
+    return true;
+}
+
+TEST(Json, ReusedValueMatchesAFreshParse)
+{
+    // One value parsed into line after line (the result store's load
+    // loop) must hold exactly what a fresh parse gives, whatever shape
+    // it held before, failed parses included.
+    const char *docs[] = {
+        R"({"a":[1,{"b":"x"}],"c":"a longer string value","d":true})",
+        R"({"c":3})",
+        R"([null,"s",[],{}])",
+        R"({"a":{"b":[1,2,3]},"e":false})",
+        R"("just a string")",
+        R"({"a":[1,{"b":"x"}],"c":)",
+        R"({})",
+        R"({"a":[1,{"b":"x"}],"c":"a longer string value","d":true})",
+        "-2.5e3",
+    };
+    JsonValue reused;
+    std::string error;
+    for (const char *text : docs) {
+        JsonValue fresh;
+        std::string freshError;
+        const bool ok = parseJson(text, fresh, freshError);
+        EXPECT_EQ(parseJson(text, reused, error), ok) << text;
+        if (ok)
+            EXPECT_TRUE(sameJson(reused, fresh)) << text;
+    }
+}
+
 // ---------------------------------------------------------------------
 // SimRequest wire format
 // ---------------------------------------------------------------------
@@ -533,6 +606,7 @@ TEST(SalvageTopLevelId, RecoversIdsFromUnparseableLines)
     // Escapes in the value decode.
     EXPECT_EQ(salvageTopLevelId("{\"id\":\"a\\\"b\\\\c\", xx"),
               "a\"b\\c");
+    EXPECT_EQ(salvageTopLevelId("{\"id\":\"\\u0041-7\", xx"), "A-7");
     // A nested "id" must not leak out as the request id.
     EXPECT_EQ(salvageTopLevelId(
                   "{\"meta\":{\"id\":\"inner\"},\"threads\":bad"),
