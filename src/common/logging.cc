@@ -1,7 +1,6 @@
 #include "common/logging.hh"
 
 #include <cstdlib>
-#include <vector>
 
 #include "common/thread_annotations.hh"
 
@@ -24,20 +23,30 @@ dumpMutex()
 std::string
 strfmt(const char *fmt, ...)
 {
+    // One pass into a stack buffer fits nearly every call (ids, cache
+    // keys, messages); only longer output is formatted a second time,
+    // straight into the result.
+    char buf[256];
     va_list args;
     va_start(args, fmt);
     va_list args_copy;
     va_copy(args_copy, args);
-    int len = std::vsnprintf(nullptr, 0, fmt, args);
+    int len = std::vsnprintf(buf, sizeof(buf), fmt, args);
     va_end(args);
     if (len < 0) {
         va_end(args_copy);
         return std::string(fmt);
     }
-    std::vector<char> buf(static_cast<size_t>(len) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, args_copy);
+    size_t size = static_cast<size_t>(len);
+    if (size < sizeof(buf)) {
+        va_end(args_copy);
+        return std::string(buf, size);
+    }
+    std::string out(size, '\0');
+    // Writes size chars plus the terminator std::string already owns.
+    std::vsnprintf(out.data(), size + 1, fmt, args_copy);
     va_end(args_copy);
-    return std::string(buf.data(), static_cast<size_t>(len));
+    return out;
 }
 
 void

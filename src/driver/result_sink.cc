@@ -54,20 +54,30 @@ std::string
 jsonEscape(const std::string &s)
 {
     std::string out;
+    appendJsonEscaped(out, s);
+    return out;
+}
+
+void
+appendJsonEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
     for (char c : s) {
+        auto u = static_cast<unsigned char>(c);
         if (c == '"' || c == '\\') {
             out += '\\';
             out += c;
         } else if (c == '\n') {
             out += "\\n";
-        } else if (static_cast<unsigned char>(c) < 0x20) {
+        } else if (u < 0x20) {
             // Raw control characters are illegal in JSON strings.
-            out += strfmt("\\u%04x", c);
+            out += "\\u00";
+            out += kHex[u >> 4];
+            out += kHex[u & 0xf];
         } else {
             out += c;
         }
     }
-    return out;
 }
 
 ResultSink

@@ -22,6 +22,7 @@
 #define MOMSIM_DRIVER_RESULT_SINK_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/simulation.hh"
@@ -38,6 +39,9 @@ namespace momsim::driver
  * JSON-lines format so the two can never drift.
  */
 std::string jsonEscape(const std::string &s);
+
+/** jsonEscape(@p s) appended to @p out, with no temporary string. */
+void appendJsonEscaped(std::string &out, std::string_view s);
 
 /** One experiment's identity and measurements. */
 struct ResultRow

@@ -4,6 +4,7 @@
 #include <sys/types.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -19,51 +20,78 @@ namespace momsim::driver
 namespace
 {
 
-/**
- * Exact double rendering: 17 significant digits guarantee that strtod
- * of the output returns the bit-identical value, so a cached row
- * re-renders (CSV %.6g, table %.2f, ...) byte-identically to the run
- * that produced it. Presentation formats live in ResultSink; this one
- * is for storage only.
- */
-std::string
-exactNum(double v)
+/** Append `name` and @p v's decimal text (printf's %d / %llu). */
+template <typename Int>
+void
+numField(std::string &out, const char *name, Int v)
 {
-    return strfmt("%.17g", v);
+    char buf[24];       // UINT64_MAX is 20 digits
+    out += name;
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
-std::string
-serializeRowFields(const ResultRow &r)
+/**
+ * Append `name` and @p v's exact text. 17 significant digits guarantee
+ * that strtod of the output returns the bit-identical value, so a
+ * cached row re-renders (CSV %.6g, table %.2f, ...) byte-identically
+ * to the run that produced it. std::to_chars in general format with
+ * precision 17 is specified as printf's %.17g, so stored bytes match
+ * every row written before; shortest round-trip output would not.
+ * Presentation formats live in ResultSink; this one is for storage.
+ */
+void
+numField(std::string &out, const char *name, double v)
 {
-    std::string out;
-    out += strfmt("\"schema\":%d,", kResultSchemaVersion);
-    out += "\"id\":\"" + jsonEscape(r.id) + "\",";
-    out += "\"workload\":\"" + jsonEscape(r.workload) + "\",";
-    out += strfmt("\"isa\":\"%s\",\"threads\":%d,", isa::toString(r.simd),
-                  r.threads);
-    out += strfmt("\"mem\":\"%s\",\"policy\":\"%s\",",
-                  mem::toString(r.memModel), cpu::toString(r.policy));
-    out += "\"variant\":\"" + jsonEscape(r.variant) + "\",";
-    out += strfmt("\"seed\":%llu,\"cycles\":%llu,\"committed_eq\":%llu,",
-                  static_cast<unsigned long long>(r.seed),
-                  static_cast<unsigned long long>(r.run.cycles),
-                  static_cast<unsigned long long>(r.run.committedEq));
-    out += "\"ipc\":" + exactNum(r.run.ipc) +
-           ",\"eipc\":" + exactNum(r.run.eipc) +
-           ",\"headline\":" + exactNum(r.headline) +
-           ",\"l1_hit_rate\":" + exactNum(r.run.l1HitRate) +
-           ",\"icache_hit_rate\":" + exactNum(r.run.icacheHitRate) +
-           ",\"l1_avg_latency\":" + exactNum(r.run.l1AvgLatency) + ",";
-    out += strfmt("\"mispredicts\":%llu,\"cond_branches\":%llu,"
-                  "\"completions\":%d,",
-                  static_cast<unsigned long long>(r.run.mispredicts),
-                  static_cast<unsigned long long>(r.run.condBranches),
-                  r.run.completions);
-    out += strfmt("\"hit_cycle_limit\":%s,",
-                  r.run.hitCycleLimit ? "true" : "false");
-    out += "\"sim_kcps\":" + exactNum(r.run.simKcps) +
-           ",\"wall_ms\":" + exactNum(r.run.wallMs);
-    return out;
+    char buf[32];       // "-d.dddddddddddddddde-308" is 24 chars
+    out += name;
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                  std::chars_format::general, 17)
+                        .ptr);
+}
+
+/** Append `name` and the JSON string literal of @p s. */
+void
+stringField(std::string &out, const char *name, std::string_view s)
+{
+    out += name;
+    out += '"';
+    appendJsonEscaped(out, s);
+    out += '"';
+}
+
+/**
+ * Append the row's members to @p out in one pass. Each name literal
+ * carries its separator; they stay in this file because momlint's
+ * schema lock reads the serialized field names here.
+ * @p withTiming=false writes sim_kcps and wall_ms as 0.
+ */
+void
+appendRowFields(std::string &out, const ResultRow &r, bool withTiming)
+{
+    numField(out, "\"schema\":", kResultSchemaVersion);
+    stringField(out, ",\"id\":", r.id);
+    stringField(out, ",\"workload\":", r.workload);
+    stringField(out, ",\"isa\":", isa::toString(r.simd));
+    numField(out, ",\"threads\":", r.threads);
+    stringField(out, ",\"mem\":", mem::toString(r.memModel));
+    stringField(out, ",\"policy\":", cpu::toString(r.policy));
+    stringField(out, ",\"variant\":", r.variant);
+    numField(out, ",\"seed\":", r.seed);
+    numField(out, ",\"cycles\":", r.run.cycles);
+    numField(out, ",\"committed_eq\":", r.run.committedEq);
+    numField(out, ",\"ipc\":", r.run.ipc);
+    numField(out, ",\"eipc\":", r.run.eipc);
+    numField(out, ",\"headline\":", r.headline);
+    numField(out, ",\"l1_hit_rate\":", r.run.l1HitRate);
+    numField(out, ",\"icache_hit_rate\":", r.run.icacheHitRate);
+    numField(out, ",\"l1_avg_latency\":", r.run.l1AvgLatency);
+    numField(out, ",\"mispredicts\":", r.run.mispredicts);
+    numField(out, ",\"cond_branches\":", r.run.condBranches);
+    numField(out, ",\"completions\":", r.run.completions);
+    out += r.run.hitCycleLimit ? ",\"hit_cycle_limit\":true"
+                               : ",\"hit_cycle_limit\":false";
+    numField(out, ",\"sim_kcps\":", withTiming ? r.run.simKcps : 0.0);
+    numField(out, ",\"wall_ms\":", withTiming ? r.run.wallMs : 0.0);
 }
 
 /**
@@ -151,10 +179,21 @@ makeDirs(const std::string &dir)
 
 } // namespace
 
+void
+appendResultRow(std::string &out, const ResultRow &row, bool withTiming)
+{
+    out += '{';
+    appendRowFields(out, row, withTiming);
+    out += '}';
+}
+
 std::string
 serializeResultRow(const ResultRow &row)
 {
-    return "{" + serializeRowFields(row) + "}";
+    std::string out;
+    out.reserve(kResultRowBytesHint);
+    appendResultRow(out, row, true);
+    return out;
 }
 
 bool
@@ -430,8 +469,13 @@ ResultStore::put(const std::string &key, const ResultRow &row)
     }
     if (path.empty())
         return;
-    std::string line = "{\"key\":\"" + jsonEscape(key) + "\"," +
-                       serializeRowFields(row) + "}\n";
+    std::string line;
+    line.reserve(kResultRowBytesHint + key.size());
+    line += "{\"key\":\"";
+    appendJsonEscaped(line, key);
+    line += "\",";
+    appendRowFields(line, row, true);
+    line += "}\n";
     bool shortWrite;
     {
         // One whole line per lock hold: concurrent puts — from this

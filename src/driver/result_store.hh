@@ -70,8 +70,24 @@ uint64_t configFingerprint(const ExperimentSpec &spec);
  * — the experiment wall clock — is not serialized, but the run's own
  * sim_kcps/wall_ms self-measurement is, so cached rows keep their
  * original throughput numbers).
+ *
+ * The writer makes one pass and builds no temporary string: integers
+ * and doubles go through std::to_chars, doubles in general format with
+ * precision 17. The bytes are a contract — stores, fabric row messages
+ * and goldens hold them — so they equal what printf's %.17g/%d/%llu and
+ * jsonEscape produce, field for field, in a fixed order.
  */
 std::string serializeResultRow(const ResultRow &row);
+
+/**
+ * serializeResultRow(@p row) appended to @p out. @p withTiming=false
+ * writes sim_kcps and wall_ms as 0, as a zeroed row would serialize.
+ */
+void appendResultRow(std::string &out, const ResultRow &row,
+                     bool withTiming);
+
+/** A serialized row's typical size plus slack: a reserve() hint. */
+constexpr size_t kResultRowBytesHint = 640;
 
 /**
  * Parse a line produced by serializeResultRow (the fabric's row

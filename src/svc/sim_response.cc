@@ -10,7 +10,10 @@ namespace momsim::svc
 std::string
 SimResponse::toJson(bool withTiming) const
 {
-    std::string out = "{";
+    std::string out;
+    // The response's own members, then each row and its comma.
+    out.reserve(256 + rows.size() * (driver::kResultRowBytesHint + 1));
+    out += '{';
     out += strfmt("\"schemaVersion\":%d,", kSimResponseSchemaVersion);
     out += "\"id\":" + jsonQuote(id) + ",";
     if (!client.empty())
@@ -32,18 +35,10 @@ SimResponse::toJson(bool withTiming) const
     for (size_t i = 0; i < rows.size(); ++i) {
         if (i)
             out += ',';
-        if (withTiming) {
-            out += driver::serializeResultRow(rows[i]);
-        } else {
-            // The row schema keeps its shape (parsers stay happy); only
-            // the nondeterministic self-measurement is zeroed.
-            driver::ResultRow r = rows[i];
-            r.run.simKcps = 0.0;
-            r.run.wallMs = 0.0;
-            out += driver::serializeResultRow(r);
-        }
+        driver::appendResultRow(out, rows[i], withTiming);
     }
-    return out + "]}";
+    out += "]}";
+    return out;
 }
 
 SimResponse

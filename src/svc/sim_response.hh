@@ -82,7 +82,9 @@ struct SimResponse
     /**
      * One JSON line. @p withTiming=false zeroes wallMs and each row's
      * sim_kcps/wall_ms so deterministic requests serialize
-     * deterministically.
+     * deterministically. The output is reserved once and every row is
+     * appended into it by driver::appendResultRow, which writes the
+     * zeroed timing itself (`--no-timing` copies no row).
      */
     std::string toJson(bool withTiming = true) const;
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/bitio.hh"
 #include "common/fixed.hh"
 #include "common/logging.hh"
@@ -23,6 +25,12 @@ TEST(Strfmt, FormatsLikePrintf)
     EXPECT_EQ(strfmt("%d-%s", 42, "x"), "42-x");
     EXPECT_EQ(strfmt("%05.1f", 3.25), "003.2");
     EXPECT_EQ(strfmt("empty"), "empty");
+    // strfmt formats once into a 256-byte stack buffer and only longer
+    // output takes a second pass: cover both sides of that edge.
+    for (size_t len : { 255u, 256u, 10000u }) {
+        std::string body(len - 3, 'x');
+        EXPECT_EQ(strfmt("%s%03d", body.c_str(), 7), body + "007") << len;
+    }
 }
 
 TEST(Net, ParseHostPortWantsAHostAndAPortIn1To65535)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the result-store subsystem: ResultRow serialize→parse
- * round-trips (every field, exact doubles), cache-key invalidation on
+ * round-trips (every field, exact doubles), the writer's bytes pinned
+ * to a printf reference, cache-key invalidation on
  * workload-fingerprint and schema changes, on-disk store persistence,
  * cost-weighted shard planning, and the end-to-end contracts the CI
  * shard-equivalence and warm-cache jobs also enforce: a sharded-and-
@@ -11,13 +12,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iterator>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "driver/experiment.hh"
 #include "driver/point_scheduler.hh"
 #include "driver/result_store.hh"
@@ -138,6 +145,166 @@ TEST(ResultRowSerialization, EscapedStringsSurvive)
     EXPECT_EQ(back.id, row.id);
     EXPECT_EQ(back.workload, row.workload);
     EXPECT_EQ(back.variant, row.variant);
+}
+
+/**
+ * The reference escape: a backslash before `"` and `\`, newline as
+ * \n, and every other control character as printf's \u%04x.
+ */
+std::string
+printfEscape(const std::string &s)
+{
+    std::string out;
+    for (char c : s) {
+        if (c == '"' || c == '\\')
+            out += std::string("\\") + c;
+        else if (c == '\n')
+            out += "\\n";
+        else if (static_cast<unsigned char>(c) < 0x20)
+            out += strfmt("\\u%04x", c);
+        else
+            out += c;
+    }
+    return out;
+}
+
+/**
+ * The reference writer: the row format as printf renders it (strfmt
+ * with %.17g, %d and %llu, strings through printfEscape). Stores,
+ * fabric row messages and goldens hold these bytes, so the one-pass
+ * std::to_chars writer must reproduce them exactly.
+ */
+std::string
+printfRow(const ResultRow &r)
+{
+    auto exact = [](double v) { return strfmt("%.17g", v); };
+    auto u64 = [](uint64_t v) {
+        return strfmt("%llu", static_cast<unsigned long long>(v));
+    };
+    std::string out = "{";
+    out += strfmt("\"schema\":%d,", kResultSchemaVersion);
+    out += "\"id\":\"" + printfEscape(r.id) + "\",";
+    out += "\"workload\":\"" + printfEscape(r.workload) + "\",";
+    out += strfmt("\"isa\":\"%s\",\"threads\":%d,", isa::toString(r.simd),
+                  r.threads);
+    out += strfmt("\"mem\":\"%s\",\"policy\":\"%s\",",
+                  mem::toString(r.memModel), cpu::toString(r.policy));
+    out += "\"variant\":\"" + printfEscape(r.variant) + "\",";
+    out += "\"seed\":" + u64(r.seed) + ",\"cycles\":" + u64(r.run.cycles) +
+           ",\"committed_eq\":" + u64(r.run.committedEq) + ",";
+    out += "\"ipc\":" + exact(r.run.ipc) + ",\"eipc\":" + exact(r.run.eipc) +
+           ",\"headline\":" + exact(r.headline) +
+           ",\"l1_hit_rate\":" + exact(r.run.l1HitRate) +
+           ",\"icache_hit_rate\":" + exact(r.run.icacheHitRate) +
+           ",\"l1_avg_latency\":" + exact(r.run.l1AvgLatency) + ",";
+    out += "\"mispredicts\":" + u64(r.run.mispredicts) +
+           ",\"cond_branches\":" + u64(r.run.condBranches) +
+           strfmt(",\"completions\":%d,", r.run.completions);
+    out += strfmt("\"hit_cycle_limit\":%s,",
+                  r.run.hitCycleLimit ? "true" : "false");
+    out += "\"sim_kcps\":" + exact(r.run.simKcps) +
+           ",\"wall_ms\":" + exact(r.run.wallMs);
+    return out + "}";
+}
+
+/** serializeResultRow, and the zeroed-timing append, match printfRow. */
+void
+expectPrintfBytes(const ResultRow &row)
+{
+    ASSERT_EQ(serializeResultRow(row), printfRow(row));
+    ResultRow zeroed = row;
+    zeroed.run.simKcps = 0.0;
+    zeroed.run.wallMs = 0.0;
+    std::string appended = "[";
+    appendResultRow(appended, row, false);
+    ASSERT_EQ(appended, "[" + printfRow(zeroed));
+}
+
+TEST(ResultRowSerialization, MatchesPrintfOnEdgeDoubles)
+{
+    const double edges[] = {
+        0.0, 5e-324, DBL_MIN, DBL_MAX, 0.1, 1.0 / 3.0, 1e-5, 1e16, 1e17,
+        9007199254740993.0,                     // 2^53+1, rounds to 2^53
+        std::nextafter(9007199254740992.0, 1e300), // 2^53+2
+        123456789.125,
+    };
+    for (double e : edges) {
+        for (double v : { e, -e }) {
+            SCOPED_TRACE(strfmt("%.17g", v));
+            ResultRow row = sampleRow();
+            row.run.ipc = row.run.eipc = row.headline = v;
+            row.run.l1HitRate = row.run.icacheHitRate = v;
+            row.run.l1AvgLatency = row.run.simKcps = row.run.wallMs = v;
+            expectPrintfBytes(row);
+            // Each field also stands alone next to ordinary values.
+            row = sampleRow();
+            row.run.l1AvgLatency = v;
+            row.run.wallMs = v;
+            expectPrintfBytes(row);
+        }
+    }
+    ResultRow extremes = sampleRow();
+    extremes.seed = UINT64_MAX;
+    extremes.run.cycles = 0;
+    extremes.run.committedEq = (1ull << 53) + 1;
+    extremes.threads = INT_MIN;
+    extremes.run.completions = INT_MAX;
+    extremes.run.hitCycleLimit = false;
+    expectPrintfBytes(extremes);
+}
+
+TEST(ResultRowSerialization, MatchesPrintfOnRandomRows)
+{
+    Rng rng(0x5eed5eed);
+    auto finite = [&rng]() {
+        for (;;) {
+            uint64_t bits = rng.next();
+            double v;
+            std::memcpy(&v, &bits, sizeof(v));
+            if (std::isfinite(v))
+                return v;
+        }
+    };
+    auto i32 = [&rng]() {
+        return static_cast<int>(static_cast<uint32_t>(rng.next()));
+    };
+    // Any magnitude, so every digit count from 1 to 20 comes up.
+    auto u64 = [&rng]() {
+        unsigned shift = rng.next() & 63;
+        return rng.next() >> shift;
+    };
+    for (int i = 0; i < 100000; ++i) {
+        ResultRow row = sampleRow();
+        row.seed = i == 0 ? UINT64_MAX : rng.next();
+        row.threads = i32();
+        row.run.cycles = u64();
+        row.run.committedEq = u64();
+        row.run.mispredicts = u64();
+        row.run.condBranches = u64();
+        row.run.completions = i32();
+        row.run.hitCycleLimit = rng.next() & 1;
+        row.run.ipc = finite();
+        row.run.eipc = finite();
+        row.headline = finite();
+        row.run.l1HitRate = finite();
+        row.run.icacheHitRate = finite();
+        row.run.l1AvgLatency = finite();
+        row.run.simKcps = finite();
+        row.run.wallMs = finite();
+        ASSERT_EQ(serializeResultRow(row), printfRow(row)) << "row " << i;
+    }
+}
+
+TEST(ResultRowSerialization, MatchesPrintfOnEscapedStrings)
+{
+    ResultRow row = sampleRow();
+    row.id = "quote\"back\\slash";
+    row.workload = "new\nline\x01" "ctl\x1f";
+    row.variant = "\"\\\n\x01\tend";
+    expectPrintfBytes(row);
+    row.id = "";
+    row.variant = "plain caf\xc3\xa9";   // bytes >= 0x80 pass through
+    expectPrintfBytes(row);
 }
 
 TEST(ResultRowSerialization, RejectsMissingFieldsAndGarbage)

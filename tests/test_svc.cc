@@ -419,6 +419,16 @@ TEST(SimService, ExecutesExplicitAxesDeterministically)
     // toJson(false) zeroes; sanity-check the flag actually strips.
     EXPECT_NE(resp.toJson(false).find("\"wallMs\":0.000"),
               std::string::npos);
+    // toJson(false) is the timed serialization of a zeroed copy: the
+    // row writer zeroes sim_kcps and wall_ms itself, byte for byte.
+    resp.rows.back().run.simKcps = 0.25;    // nonzero whatever the clock
+    SimResponse zeroed = resp;
+    zeroed.wallMs = 0.0;
+    for (driver::ResultRow &row : zeroed.rows) {
+        row.run.simKcps = 0.0;
+        row.run.wallMs = 0.0;
+    }
+    EXPECT_EQ(resp.toJson(false), zeroed.toJson(true));
 }
 
 TEST(SimService, BatchKnobValidatesAndNeverChangesRows)

@@ -12,9 +12,14 @@ generic linter cannot know about:
                    anything emitted from it is a nondeterministic byte.
 
   float-format     A floating-point printf conversion other than the
-                   canonical %.17g (exactNum) in an emit path. %.17g is
-                   the shortest format that round-trips every double;
-                   anything else silently quantizes stored results.
+                   canonical %.17g in an emit path, or a std::to_chars
+                   call there whose std::chars_format argument is not
+                   general with precision 17 (which writes %.17g's
+                   text). 17 significant digits round-trip every
+                   double; anything else silently quantizes stored
+                   results (fixed, general with a smaller precision) or
+                   changes stored bytes (bare general is the shortest
+                   round-trip text, not %.17g's).
 
   nondet-source    Wall clocks, rand()/srand(), or random_device inside
                    the simulator core (src/cpu, src/mem, src/core).
@@ -267,6 +272,23 @@ def rule_unordered_iter(src):
 
 FLOAT_FMT_RE = re.compile(r"%[-+ #0-9.*']*[eEfgG]")
 CANONICAL = "%.17g"
+TO_CHARS_RE = re.compile(r"\bto_chars\s*\(")
+# A std::chars_format argument and the precision after it, if any.
+CHARS_FMT_RE = re.compile(r"chars_format\s*::\s*(\w+)(?:\s*,\s*(\w+))?")
+CANONICAL_CHARS = ("general", "17")
+
+
+def call_args(code, open_paren):
+    """A call's argument text, given the index of its "(" in code."""
+    depth = 0
+    for j in range(open_paren, len(code)):
+        if code[j] == "(":
+            depth += 1
+        elif code[j] == ")":
+            depth -= 1
+            if depth == 0:
+                return code[open_paren + 1:j]
+    return code[open_paren + 1:]
 
 
 def rule_float_format(src):
@@ -282,8 +304,23 @@ def rule_float_format(src):
             findings.append(Finding(
                 "float-format", src.path, i,
                 "float format \"%s\" in an emit path; only the "
-                "canonical %s (exactNum) round-trips doubles "
+                "canonical %s round-trips doubles "
                 "byte-exactly" % (m.group(0), CANONICAL)))
+    # std::to_chars calls, whose arguments may span lines.
+    code = "\n".join(src.code)
+    for call in TO_CHARS_RE.finditer(code):
+        m = CHARS_FMT_RE.search(call_args(code, call.end() - 1))
+        if not m or (m.group(1), m.group(2)) == CANONICAL_CHARS:
+            continue
+        i = code.count("\n", 0, call.end() + m.start()) + 1
+        if src.waived("float-format", i):
+            continue
+        shown = m.group(1) + (", " + m.group(2) if m.group(2) else "")
+        findings.append(Finding(
+            "float-format", src.path, i,
+            "std::chars_format::%s in an emit path; only general with "
+            "precision 17 writes %s's text, which round-trips doubles "
+            "byte-exactly" % (shown, CANONICAL)))
     return findings
 
 
@@ -500,11 +537,17 @@ def selftest(root):
                 failures.append("%s: fixture missing" % rel)
                 continue
             checked += 1
-            got = [f for f in fn(Source(rel, read_file(path)))
-                   if f.rule == rule]
-            if want_hits and not got:
-                failures.append("%s: expected >=1 %s finding, got none"
-                                % (rel, rule))
+            text = read_file(path)
+            got = [f for f in fn(Source(rel, text)) if f.rule == rule]
+            # Every flag-fixture line marked "// flagged" must produce
+            # a finding, and no other line may.
+            marked = {i for i, line in enumerate(text.split("\n"), 1)
+                      if "// flagged" in line}
+            hit = {f.line for f in got}
+            if want_hits and (not got or hit != marked):
+                failures.append(
+                    "%s: %s findings on lines %s, want the \"// flagged\" "
+                    "lines %s" % (rel, rule, sorted(hit), sorted(marked)))
             elif not want_hits and got:
                 failures.append("%s: expected no %s findings, got:\n  %s"
                                 % (rel, rule,
