@@ -64,7 +64,7 @@ printPolicyTable(const driver::ResultSink &sink, mem::MemModel memModel,
             std::printf("%-6s %-8d | %8.2f %8.2f %8.2f %8.2f | ",
                         toString(simd), threads, v[0], v[1], v[2], v[3]);
             if (v[0] > 0.0 && best > 0.0)
-                std::printf("+%.1f%%\n", 100 * (best / v[0] - 1.0));
+                std::printf("%+.1f%%\n", 100 * (best / v[0] - 1.0));
             else
                 std::printf("n/a\n");  // point(s) absent (shard run)
         }

@@ -233,7 +233,9 @@ ExperimentRunner::run(const RunPlan &plan, ResultStore *store,
     // RowFn/store contract: puts and onRow fire serialized, per row,
     // the moment it completes. Rows the request did not simulate
     // itself (joins, memory-cache replays) pass through here too, so
-    // a request-private --cache-dir still ends up complete.
+    // a request-private --cache-dir still ends up complete; a store
+    // shared with the request that simulated the row already holds
+    // it, and putIfAbsent appends it only once.
     std::vector<ResultRow> fresh(plan.points.size());
     momsim::Mutex deliverMutex;
     PointScheduler::Request request(
@@ -248,7 +250,7 @@ ExperimentRunner::run(const RunPlan &plan, ResultStore *store,
             const size_t i = todo[slot];
             MutexLock lock(deliverMutex);
             if (store)
-                store->put(plan.points[i].key, row);
+                store->putIfAbsent(plan.points[i].key, row);
             if (onRow)
                 onRow(plan.points[i], row);
             fresh[i] = row;

@@ -162,8 +162,8 @@ class ExperimentRunner
     /**
      * Per-completion callback of run(): fired once per non-disk-cached
      * row, serialized (under the same lock as store puts) but in
-     * completion order, not sweep order. The fabric worker streams
-     * rows back to its coordinator from here.
+     * completion order, not sweep order. A streamed SimRequest writes
+     * its rows out from here.
      */
     using RowFn =
         std::function<void(const PlannedPoint &, const ResultRow &)>;
@@ -179,7 +179,9 @@ class ExperimentRunner
      * Rows another request simulated (singleflight joins) and memory-
      * cache replays flow through the same path, so @p store still ends
      * up holding every row this plan claims to have produced and
-     * @p onRow still fires once per non-disk-cached point.
+     * @p onRow still fires once per non-disk-cached point. A row
+     * @p store already holds (a shared store the simulating request
+     * filled) is not appended again.
      *
      * The plan must have been built against this runner's repo
      * (planSweep's fingerprinting already built every workload the

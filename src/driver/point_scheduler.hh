@@ -4,7 +4,7 @@
  * behind concurrent request serving.
  *
  * Every submitted sweep (a `momsim batch` line, a serve connection's
- * request, a fabric shard_run deal) decomposes into content-addressed
+ * request, a coordinator's deal) decomposes into content-addressed
  * sweep points; this scheduler owns the one worker pool they all feed,
  * and layers three request-path properties on top of raw execution:
  *

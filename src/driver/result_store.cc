@@ -204,6 +204,26 @@ parseResultRow(const std::string &line, ResultRow &out)
     return svc::parseJson(line, doc, error) && rowFromJson(doc, out);
 }
 
+void
+appendStoreLine(std::string &out, const std::string &key,
+                const ResultRow &row, bool withTiming)
+{
+    stringField(out, "{\"key\":", key);
+    out += ',';
+    appendRowFields(out, row, withTiming);
+    out += '}';
+}
+
+bool
+readStoreLine(const svc::JsonValue &doc, std::string &key, ResultRow &row)
+{
+    const svc::JsonValue *k = doc.field("key");
+    if (!k || !k->isString() || k->text.empty() || !rowFromJson(doc, row))
+        return false;
+    key = k->text;
+    return true;
+}
+
 uint64_t
 configFingerprint(const ExperimentSpec &spec)
 {
@@ -398,11 +418,10 @@ ResultStore::loadFile(const std::string &path)
         if (line.empty())
             continue;
         if (svc::parseJson(line, doc, error)) {
-            const svc::JsonValue *key = doc.field("key");
+            std::string key;
             ResultRow row;
-            if (key && key->isString() && !key->text.empty() &&
-                rowFromJson(doc, row)) {
-                parsed.emplace_back(key->text, std::move(row));
+            if (readStoreLine(doc, key, row)) {
+                parsed.emplace_back(std::move(key), std::move(row));
                 continue;
             }
             // Rows written under another schema version are not
@@ -456,6 +475,19 @@ ResultStore::find(const std::string &key, ResultRow &out) const
 void
 ResultStore::put(const std::string &key, const ResultRow &row)
 {
+    insert(key, row, true);
+}
+
+void
+ResultStore::putIfAbsent(const std::string &key, const ResultRow &row)
+{
+    insert(key, row, false);
+}
+
+void
+ResultStore::insert(const std::string &key, const ResultRow &row,
+                    bool replace)
+{
     // Snapshot the path *and* the append lock together: a concurrent
     // openDir() may rebind both, and appending to the new path under
     // the old file's lock would lose the whole-line guarantee.
@@ -463,7 +495,12 @@ ResultStore::put(const std::string &key, const ResultRow &row)
     Mutex *appendLock = nullptr;
     {
         MutexLock lock(_mutex);
-        _rows[key] = row;
+        auto [it, inserted] = _rows.try_emplace(key, row);
+        if (!inserted) {
+            if (!replace)
+                return;
+            it->second = row;
+        }
         path = _path;
         appendLock = _appendLock;
     }
@@ -471,11 +508,8 @@ ResultStore::put(const std::string &key, const ResultRow &row)
         return;
     std::string line;
     line.reserve(kResultRowBytesHint + key.size());
-    line += "{\"key\":\"";
-    appendJsonEscaped(line, key);
-    line += "\",";
-    appendRowFields(line, row, true);
-    line += "}\n";
+    appendStoreLine(line, key, row, true);
+    line += '\n';
     bool shortWrite;
     {
         // One whole line per lock hold: concurrent puts — from this

@@ -33,6 +33,11 @@
 #include "driver/experiment.hh"
 #include "driver/result_sink.hh"
 
+namespace momsim::svc
+{
+struct JsonValue;
+}
+
 namespace momsim::driver
 {
 
@@ -73,8 +78,8 @@ uint64_t configFingerprint(const ExperimentSpec &spec);
  *
  * The writer makes one pass and builds no temporary string: integers
  * and doubles go through std::to_chars, doubles in general format with
- * precision 17. The bytes are a contract — stores, fabric row messages
- * and goldens hold them — so they equal what printf's %.17g/%d/%llu and
+ * precision 17. The bytes are a contract — stores, streamed rows and
+ * goldens hold them — so they equal what printf's %.17g/%d/%llu and
  * jsonEscape produce, field for field, in a fixed order.
  */
 std::string serializeResultRow(const ResultRow &row);
@@ -90,14 +95,30 @@ void appendResultRow(std::string &out, const ResultRow &row,
 constexpr size_t kResultRowBytesHint = 640;
 
 /**
- * Parse a line produced by serializeResultRow (the fabric's row
- * payload) with the service's strict JSON parser (svc/json.hh), the
- * same reader ResultStore uses for its own lines. The line must be
- * one JSON object, every row field present and well typed, and
- * "schema" equal to kResultSchemaVersion; unknown fields (a store
- * line's "key") are ignored. Doubles round-trip exactly.
+ * Parse a line produced by serializeResultRow with the service's
+ * strict JSON parser (svc/json.hh), the same reader ResultStore uses
+ * for its own lines. The line must be one JSON object, every row field
+ * present and well typed, and "schema" equal to kResultSchemaVersion;
+ * unknown fields (a store line's "key") are ignored. Doubles
+ * round-trip exactly.
  */
 bool parseResultRow(const std::string &line, ResultRow &out);
+
+/**
+ * One store line appended to @p out (no newline): `{"key":...,` then
+ * @p row's fields, as ResultStore files hold them and a streamed
+ * SimRequest emits them. @p withTiming as appendResultRow.
+ */
+void appendStoreLine(std::string &out, const std::string &key,
+                     const ResultRow &row, bool withTiming);
+
+/**
+ * Read one parsed store line: a non-empty string "key" plus a row that
+ * parseResultRow would accept. ResultStore::loadFile and the fabric
+ * coordinator's reader of streamed rows both go through it.
+ */
+bool readStoreLine(const svc::JsonValue &doc, std::string &key,
+                   ResultRow &row);
 
 /** The lookup key: canonical id + limits + fingerprint + schema. */
 std::string resultCacheKey(const ExperimentSpec &spec,
@@ -162,6 +183,14 @@ class ResultStore
      *  Thread-safe, including across instances bound to one file. */
     void put(const std::string &key, const ResultRow &row);
 
+    /**
+     * put() unless this store already holds @p key; then nothing is
+     * inserted or appended. Atomic against concurrent put()s on this
+     * instance, so of two requests that deliver one row to a shared
+     * store only the first appends it.
+     */
+    void putIfAbsent(const std::string &key, const ResultRow &row);
+
     size_t size() const
     {
         momsim::MutexLock lock(_mutex);
@@ -176,6 +205,10 @@ class ResultStore
     }
 
   private:
+    /** put() (@p replace) or putIfAbsent(). */
+    void insert(const std::string &key, const ResultRow &row,
+                bool replace);
+
     mutable momsim::Mutex _mutex;
     std::unordered_map<std::string, ResultRow> _rows GUARDED_BY(_mutex);
     std::string _path GUARDED_BY(_mutex);

@@ -12,12 +12,14 @@
  *      already-cached points never leave the building.
  *   2. Deal remotely. The to-simulate points go to the Dealer, whose
  *      initial partition is the same LPT deal `--shard I/N` uses; each
- *      worker link streams completed rows back (shard_run -> row* ->
- *      shard_done) and every row is put() into the store immediately —
- *      a worker that dies mid-shard loses only its unfinished points,
- *      which re-deal to whoever is idle. Completions are idempotent
- *      (content-addressed keys, last-wins rows), so a presumed-dead
- *      straggler's late rows are harmless duplicates.
+ *      deal is an ordinary SimRequest naming its `points` with
+ *      `stream` set, so the worker streams every completed row back as
+ *      a store line before its final SimResponse, and every row is
+ *      put() into the store immediately — a worker that dies mid-deal
+ *      loses only its unfinished points, which re-deal to whoever is
+ *      idle. Completions are idempotent (content-addressed keys,
+ *      last-wins rows), so a presumed-dead straggler's late rows are
+ *      harmless duplicates.
  *   3. Render locally. With the store fully warm, the normal bench
  *      path replays it (--cache-dir, or --merge for the coordinator's
  *      temporary store) and simulates nothing — the gated mechanism
@@ -99,8 +101,9 @@ class WorkerThread
         Dealer &dealer;
         driver::ResultStore &store;
         momsim::Mutex &storeMutex;
-        const std::unordered_map<std::string, std::string> &keyOf;
-        const std::string &sweepJson;
+        /** Result-cache key -> canonical point id of every dealt point. */
+        const std::unordered_map<std::string, std::string> &pointOf;
+        const svc::SimRequest &sweep;
         int timeoutMs;
         momsim::Mutex &logMutex;
         std::string &lastError;
@@ -146,23 +149,23 @@ class WorkerThread
                 _shared.dealer.claim(_index);
             if (batch.empty())
                 return;     // done, failed, or this link was lost
-            ShardRun deal;
+            svc::SimRequest deal = _shared.sweep;
             deal.id = strfmt("d%d-%d", _index, dealSeq++);
-            deal.sweepJson = _shared.sweepJson;
             for (const DealPoint &p : batch)
                 deal.points.push_back(p.id);
-            if (!_link.sendLine(shardRunToJson(deal))) {
+            if (!_link.sendLine(deal.toJson())) {
                 lost("send failed");
                 return;
             }
-            if (!readDeal(deal, batch))
+            if (!readDeal(deal.id, batch.size()))
                 return;     // lost() already ran
         }
     }
 
-    /** Read rows until this deal's shard_done; false on link loss. */
+    /** Read row lines until the deal's final SimResponse; false on
+     *  link loss. */
     bool
-    readDeal(const ShardRun &deal, const std::vector<DealPoint> &batch)
+    readDeal(const std::string &dealId, size_t points)
     {
         std::unordered_set<std::string> got;
         for (;;) {
@@ -186,65 +189,48 @@ class WorkerThread
                 lost(strfmt("unparseable reply: %s", error.c_str()));
                 return false;
             }
-            const std::string kind = kindOf(doc);
-            if (kind == "row") {
-                RowMsg msg;
-                if (!parseRow(doc, msg, error)) {
-                    lost(strfmt("bad row: %s", error.c_str()));
+            if (doc.field("key")) {
+                std::string key;
+                driver::ResultRow row;
+                if (!driver::readStoreLine(doc, key, row)) {
+                    lost("bad row line");
                     return false;
                 }
-                auto it = _shared.keyOf.find(msg.point);
-                if (it == _shared.keyOf.end() ||
-                    it->second != msg.key) {
+                auto it = _shared.pointOf.find(key);
+                if (it == _shared.pointOf.end()) {
                     // A key we did not plan means the worker disagrees
                     // about the sweep (version skew the ping check
                     // should have caught) — its rows cannot be trusted.
-                    lost(strfmt("row key mismatch for point %s",
-                                msg.point.c_str()));
-                    return false;
-                }
-                driver::ResultRow row;
-                if (!driver::parseResultRow(msg.rowLine, row)) {
-                    lost(strfmt("unparseable row for point %s",
-                                msg.point.c_str()));
+                    lost(strfmt("row key not in the plan: %s",
+                                key.c_str()));
                     return false;
                 }
                 {
                     MutexLock lock(_shared.storeMutex);
-                    _shared.store.put(msg.key, row);
+                    _shared.store.put(key, row);
                 }
-                _shared.dealer.complete(msg.point);
-                got.insert(msg.point);
+                _shared.dealer.complete(it->second);
+                got.insert(it->second);
                 continue;
             }
-            if (kind == "shard_done") {
-                ShardDone done;
-                if (!parseShardDone(doc, done, error)) {
-                    lost(strfmt("bad shard_done: %s", error.c_str()));
-                    return false;
-                }
-                if (!done.ok) {
-                    lost(strfmt("shard failed: %s: %s",
-                                done.errorCode.c_str(),
-                                done.errorMessage.c_str()));
-                    return false;
-                }
-                if (done.id != deal.id || got.size() != batch.size()) {
-                    lost(strfmt("incomplete deal %s: %zu of %zu row(s)",
-                                deal.id.c_str(), got.size(),
-                                batch.size()));
-                    return false;
-                }
-                return true;
-            }
-            if (kind == "error") {
-                lost(strfmt("worker error: %s", line.c_str()));
+            // Anything else is the deal's final SimResponse.
+            const svc::JsonValue *id = doc.field("id");
+            const svc::JsonValue *ok = doc.field("ok");
+            if (!id || !id->isString() || id->text != dealId || !ok ||
+                !ok->isBool()) {
+                lost(strfmt("unexpected reply: %s", line.c_str()));
                 return false;
             }
-            // Anything else (a stray pong, a SimResponse) is protocol
-            // confusion severe enough to drop the link.
-            lost(strfmt("unexpected reply kind \"%s\"", kind.c_str()));
-            return false;
+            if (!ok->boolean) {
+                lost(strfmt("deal failed: %s", line.c_str()));
+                return false;
+            }
+            if (got.size() != points) {
+                lost(strfmt("incomplete deal %s: %zu of %zu row(s)",
+                            dealId.c_str(), got.size(), points));
+                return false;
+            }
+            return true;
         }
     }
 
@@ -406,15 +392,14 @@ runCoord(int argc, char **argv)
         driver::planSweep(std::move(specs), repo, &store, 0, 1);
 
     std::vector<DealPoint> toSim;
-    std::unordered_map<std::string, std::string> keyOf;
+    std::unordered_map<std::string, std::string> pointOf;
     for (const driver::PlannedPoint &p : plan.points) {
         if (p.cached)
             continue;
         DealPoint d;
         d.id = p.spec.canonicalId();
-        d.key = p.key;
         d.cost = p.cost;
-        keyOf.emplace(d.id, d.key);
+        pointOf.emplace(p.key, d.id);
         toSim.push_back(std::move(d));
     }
     std::fprintf(stderr,
@@ -486,7 +471,6 @@ runCoord(int argc, char **argv)
 
         // ---- run the deal ----
         svc::SimRequest sweep;
-        sweep.id = "sweep";
         sweep.client = "coord";
         sweep.bench = def->name;
         sweep.workloads = opts.workloads;
@@ -494,7 +478,7 @@ runCoord(int argc, char **argv)
         sweep.maxCycles = opts.maxCycles;
         sweep.seed = opts.baseSeed;
         sweep.cacheDir = coord.workerCacheDir;
-        const std::string sweepJson = sweep.toJson();
+        sweep.stream = true;
 
         Dealer dealer(toSim, static_cast<int>(links.size()));
         momsim::Mutex storeMutex;
@@ -503,8 +487,8 @@ runCoord(int argc, char **argv)
         std::vector<std::unique_ptr<WorkerThread>> threads;
         for (size_t i = 0; i < links.size(); ++i) {
             WorkerThread::Shared shared{ dealer,  store,
-                                         storeMutex, keyOf,
-                                         sweepJson, coord.workerTimeoutMs,
+                                         storeMutex, pointOf,
+                                         sweep,   coord.workerTimeoutMs,
                                          logMutex,  lastError };
             threads.push_back(std::make_unique<WorkerThread>(
                 static_cast<int>(i), std::move(links[i]), shared));

@@ -36,7 +36,6 @@ namespace momsim::fabric
 struct DealPoint
 {
     std::string id;     ///< canonical point id (spec.canonicalId())
-    std::string key;    ///< result-cache key, for row verification
     double cost = 1.0;  ///< planner cost estimate (specCost)
 };
 

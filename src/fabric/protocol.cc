@@ -4,75 +4,10 @@
 #include "driver/result_store.hh"
 #include "svc/sim_request.hh"
 #include "svc/sim_response.hh"
+#include "svc/sim_service.hh"
 
 namespace momsim::fabric
 {
-
-namespace
-{
-
-/** Strictness shared with SimRequest: an unknown field is a protocol
- *  error, never silently ignored. */
-bool
-rejectUnknownFields(const svc::JsonValue &doc,
-                    std::initializer_list<const char *> allowed,
-                    std::string &error)
-{
-    for (const auto &field : doc.fields) {
-        bool known = false;
-        for (const char *name : allowed) {
-            if (field.first == name) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            error = strfmt("unknown field \"%s\"", field.first.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
-requireVersion(const svc::JsonValue &doc, std::string &error)
-{
-    const svc::JsonValue *v = doc.field("fabricVersion");
-    int version = 0;
-    if (!v || !v->toInt(version)) {
-        error = "missing or non-integer \"fabricVersion\"";
-        return false;
-    }
-    if (version != kFabricSchemaVersion) {
-        error = strfmt("unsupported fabricVersion %d (want %d)", version,
-                       kFabricSchemaVersion);
-        return false;
-    }
-    return true;
-}
-
-bool
-stringField(const svc::JsonValue &doc, const char *name, bool required,
-            std::string &out, std::string &error)
-{
-    const svc::JsonValue *v = doc.field(name);
-    if (!v) {
-        if (required) {
-            error = strfmt("missing \"%s\"", name);
-            return false;
-        }
-        out.clear();
-        return true;
-    }
-    if (!v->isString()) {
-        error = strfmt("\"%s\" must be a string", name);
-        return false;
-    }
-    out = v->text;
-    return true;
-}
-
-} // namespace
 
 std::string
 fabricVersionString()
@@ -105,6 +40,23 @@ pingToJson(const std::string &id)
     return out;
 }
 
+Pong
+pongOf(const svc::SimService &service, const std::string &id)
+{
+    Pong pong;
+    pong.id = id;
+    pong.version = fabricVersionString();
+    pong.uptimeMs = service.uptimeMs();
+    pong.inFlight = service.inFlight();
+    pong.pendingPoints = service.pendingPoints();
+    const driver::PointScheduler::Counters counters = service.counters();
+    pong.pointsSimulated = counters.pointsSimulated;
+    pong.pointsDeduped = counters.pointsDeduped;
+    pong.memCacheHits = counters.memCacheHits;
+    pong.diskCacheHits = counters.diskCacheHits;
+    return pong;
+}
+
 std::string
 pongToJson(const Pong &pong)
 {
@@ -129,197 +81,63 @@ pongToJson(const Pong &pong)
 bool
 parsePong(const svc::JsonValue &doc, Pong &out, std::string &error)
 {
-    if (!requireVersion(doc, error))
-        return false;
-    if (!rejectUnknownFields(doc,
-                             { "kind", "fabricVersion", "id", "version",
-                               "uptimeMs", "inFlight", "pendingPoints",
-                               "pointsSimulated", "pointsDeduped",
-                               "memCacheHits", "diskCacheHits" },
-                             error))
-        return false;
-    if (!stringField(doc, "id", false, out.id, error) ||
-        !stringField(doc, "version", true, out.version, error))
-        return false;
-    const svc::JsonValue *v = doc.field("uptimeMs");
-    if (!v || !v->toU64(out.uptimeMs)) {
-        error = "missing or bad \"uptimeMs\"";
+    const svc::JsonValue *v = doc.field("fabricVersion");
+    int version = 0;
+    if (!v || !v->toInt(version)) {
+        error = "missing or non-integer \"fabricVersion\"";
         return false;
     }
-    v = doc.field("inFlight");
-    if (!v || !v->toInt(out.inFlight)) {
-        error = "missing or bad \"inFlight\"";
+    if (version != kFabricSchemaVersion) {
+        error = strfmt("unsupported fabricVersion %d (want %d)", version,
+                       kFabricSchemaVersion);
         return false;
     }
-    v = doc.field("pendingPoints");
+    uint64_t inFlight = 0;
     uint64_t pending = 0;
-    if (!v || !v->toU64(pending)) {
-        error = "missing or bad \"pendingPoints\"";
-        return false;
-    }
-    out.pendingPoints = static_cast<long>(pending);
     const struct
     {
         const char *name;
         uint64_t &dst;
-    } gauges[] = {
+    } numbers[] = {
+        { "uptimeMs", out.uptimeMs },
+        { "inFlight", inFlight },
+        { "pendingPoints", pending },
         { "pointsSimulated", out.pointsSimulated },
         { "pointsDeduped", out.pointsDeduped },
         { "memCacheHits", out.memCacheHits },
         { "diskCacheHits", out.diskCacheHits },
     };
-    for (const auto &g : gauges) {
-        v = doc.field(g.name);
-        if (!v || !v->toU64(g.dst)) {
-            error = strfmt("missing or bad \"%s\"", g.name);
+    // Strict like SimRequest: an unknown field is a protocol error,
+    // never silently ignored.
+    for (const auto &field : doc.fields) {
+        const std::string &name = field.first;
+        bool known = name == "kind" || name == "fabricVersion" ||
+                     name == "id" || name == "version";
+        for (const auto &n : numbers)
+            known = known || name == n.name;
+        if (!known) {
+            error = strfmt("unknown field \"%s\"", name.c_str());
             return false;
         }
     }
+    const svc::JsonValue *id = doc.field("id");
+    const svc::JsonValue *ver = doc.field("version");
+    if ((id && !id->isString()) || !ver || !ver->isString()) {
+        error = "\"id\" must be a string and \"version\" a present one";
+        return false;
+    }
+    out.id = id ? id->text : "";
+    out.version = ver->text;
+    for (const auto &n : numbers) {
+        v = doc.field(n.name);
+        if (!v || !v->toU64(n.dst)) {
+            error = strfmt("missing or bad \"%s\"", n.name);
+            return false;
+        }
+    }
+    out.inFlight = static_cast<int>(inFlight);
+    out.pendingPoints = static_cast<long>(pending);
     return true;
-}
-
-std::string
-shardRunToJson(const ShardRun &run)
-{
-    std::string out = "{\"kind\":\"shard_run\",\"fabricVersion\":" +
-                      std::to_string(kFabricSchemaVersion);
-    out += ",\"id\":" + svc::jsonQuote(run.id);
-    out += ",\"sweep\":" + svc::jsonQuote(run.sweepJson);
-    out += ",\"points\":[";
-    for (size_t i = 0; i < run.points.size(); ++i) {
-        if (i)
-            out += ",";
-        out += svc::jsonQuote(run.points[i]);
-    }
-    out += "]}";
-    return out;
-}
-
-bool
-parseShardRun(const svc::JsonValue &doc, ShardRun &out,
-              std::string &error)
-{
-    if (!requireVersion(doc, error))
-        return false;
-    if (!rejectUnknownFields(
-            doc, { "kind", "fabricVersion", "id", "sweep", "points" },
-            error))
-        return false;
-    if (!stringField(doc, "id", true, out.id, error) ||
-        !stringField(doc, "sweep", true, out.sweepJson, error))
-        return false;
-    const svc::JsonValue *points = doc.field("points");
-    if (!points || !points->isArray()) {
-        error = "missing or non-array \"points\"";
-        return false;
-    }
-    out.points.clear();
-    for (const svc::JsonValue &item : points->items) {
-        if (!item.isString() || item.text.empty()) {
-            error = "\"points\" entries must be non-empty strings";
-            return false;
-        }
-        out.points.push_back(item.text);
-    }
-    if (out.points.empty()) {
-        error = "\"points\" must name at least one point";
-        return false;
-    }
-    return true;
-}
-
-std::string
-rowToJson(const RowMsg &msg)
-{
-    std::string out = "{\"kind\":\"row\",\"fabricVersion\":" +
-                      std::to_string(kFabricSchemaVersion);
-    out += ",\"id\":" + svc::jsonQuote(msg.id);
-    out += ",\"point\":" + svc::jsonQuote(msg.point);
-    out += ",\"key\":" + svc::jsonQuote(msg.key);
-    out += ",\"row\":" + svc::jsonQuote(msg.rowLine);
-    out += "}";
-    return out;
-}
-
-bool
-parseRow(const svc::JsonValue &doc, RowMsg &out, std::string &error)
-{
-    if (!requireVersion(doc, error))
-        return false;
-    if (!rejectUnknownFields(
-            doc, { "kind", "fabricVersion", "id", "point", "key", "row" },
-            error))
-        return false;
-    return stringField(doc, "id", true, out.id, error) &&
-           stringField(doc, "point", true, out.point, error) &&
-           stringField(doc, "key", true, out.key, error) &&
-           stringField(doc, "row", true, out.rowLine, error);
-}
-
-std::string
-shardDoneToJson(const ShardDone &done)
-{
-    std::string out = "{\"kind\":\"shard_done\",\"fabricVersion\":" +
-                      std::to_string(kFabricSchemaVersion);
-    out += ",\"id\":" + svc::jsonQuote(done.id);
-    if (done.ok) {
-        out += strfmt(",\"ok\":true,\"points\":%llu,\"cached\":%llu,"
-                      "\"simulated\":%llu}",
-                      static_cast<unsigned long long>(done.points),
-                      static_cast<unsigned long long>(done.cached),
-                      static_cast<unsigned long long>(done.simulated));
-    } else {
-        out += ",\"ok\":false,\"error\":{\"code\":" +
-               svc::jsonQuote(done.errorCode) +
-               ",\"message\":" + svc::jsonQuote(done.errorMessage) + "}}";
-    }
-    return out;
-}
-
-bool
-parseShardDone(const svc::JsonValue &doc, ShardDone &out,
-               std::string &error)
-{
-    if (!requireVersion(doc, error))
-        return false;
-    if (!rejectUnknownFields(doc,
-                             { "kind", "fabricVersion", "id", "ok",
-                               "points", "cached", "simulated", "error" },
-                             error))
-        return false;
-    if (!stringField(doc, "id", true, out.id, error))
-        return false;
-    const svc::JsonValue *ok = doc.field("ok");
-    if (!ok || !ok->isBool()) {
-        error = "missing or non-boolean \"ok\"";
-        return false;
-    }
-    out.ok = ok->boolean;
-    if (out.ok) {
-        const svc::JsonValue *v = doc.field("points");
-        if (!v || !v->toU64(out.points)) {
-            error = "missing or bad \"points\"";
-            return false;
-        }
-        v = doc.field("cached");
-        if (!v || !v->toU64(out.cached)) {
-            error = "missing or bad \"cached\"";
-            return false;
-        }
-        v = doc.field("simulated");
-        if (!v || !v->toU64(out.simulated)) {
-            error = "missing or bad \"simulated\"";
-            return false;
-        }
-        return true;
-    }
-    const svc::JsonValue *err = doc.field("error");
-    if (!err || !err->isObject()) {
-        error = "failed shard_done must carry an \"error\" object";
-        return false;
-    }
-    return stringField(*err, "code", true, out.errorCode, error) &&
-           stringField(*err, "message", true, out.errorMessage, error);
 }
 
 std::string

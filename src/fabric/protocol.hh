@@ -1,33 +1,29 @@
 /**
  * @file
- * The fabric wire protocol: the "kind"-tagged JSONL messages the
- * distributed-sweep coordinator (`momsim coord`) and its workers
- * (`momsim serve` / `momsim batch`) exchange on top of the existing
- * SimRequest/SimResponse transport.
+ * The fabric wire protocol: the "kind"-tagged JSONL lines that sit
+ * beside SimRequest/SimResponse on every `momsim serve` / `momsim
+ * batch` transport.
  *
- * The transport stays line-oriented JSON; fabric messages are the
- * lines whose top-level object carries a "kind" field (a plain
- * SimRequest can never carry one — its strict parser rejects unknown
- * fields), which is how one socket serves both protocols:
+ * A line whose top-level object carries a "kind" field is a fabric
+ * message (a SimRequest can never carry one — its strict parser
+ * rejects unknown fields); the transport parses each line once and
+ * dispatches on it:
  *
  *   ping       -> pong          worker health/version probe
- *   shard_run  -> row* shard_done
- *                               execute a dealt subset of a sweep and
- *                               stream each completed row back
- *   error                       structured protocol-level failure
+ *   (other)    -> error         unknown_kind
  *
- * Nested payloads (the shard_run's embedded SimRequest, the row's
- * serialized ResultRow) travel as *escaped JSON-line strings* — the
- * byte-exact line formats those layers already round-trip (%.17g
- * doubles and all) — so the fabric adds framing, never a second
- * serialization of simulator data.
+ * Sweep work needs no message of its own: the coordinator (`momsim
+ * coord`) sends each worker an ordinary SimRequest naming its dealt
+ * `points` with `stream` set, reads the rows back as store lines and
+ * takes the final SimResponse as the end of the deal.
  *
- * Versioning: every coordinator-facing message carries fabricVersion;
- * the pong's version string additionally folds in the request/
- * response/row-schema/sim-code versions, and a coordinator refuses
- * workers whose string differs from its own — a mixed-version fleet
- * would disagree on cache keys, which must be a startup error, not a
- * silent wrong merge.
+ * Versioning: every message a worker sends (pong, error) carries
+ * fabricVersion; the pong's
+ * version string additionally folds in the request/response/row-
+ * schema/sim-code versions, and a coordinator refuses workers whose
+ * string differs from its own — a mixed-version fleet would disagree
+ * on cache keys, which must be a startup error, not a silent wrong
+ * merge.
  */
 
 #ifndef MOMSIM_FABRIC_PROTOCOL_HH
@@ -35,17 +31,23 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "svc/json.hh"
+
+namespace momsim::svc
+{
+class SimService;
+}
 
 namespace momsim::fabric
 {
 
 /** Version of the fabric message set. Bump on any message change.
  *  v2 = v1 + the pong's scheduler gauges (pointsSimulated,
- *  pointsDeduped, memCacheHits, diskCacheHits). */
-constexpr int kFabricSchemaVersion = 2;
+ *  pointsDeduped, memCacheHits, diskCacheHits).
+ *  v3 = v2 - shard_run, row and shard_done (deals are SimRequests
+ *  with points and stream). */
+constexpr int kFabricSchemaVersion = 3;
 
 /**
  * The compatibility fingerprint a worker reports in its pong:
@@ -78,53 +80,11 @@ struct Pong
     uint64_t diskCacheHits = 0;     ///< disk-store planning-time hits
 };
 
+/** The pong @p service answers a ping carrying @p id with. */
+Pong pongOf(const svc::SimService &service, const std::string &id);
+
 std::string pongToJson(const Pong &pong);
 bool parsePong(const svc::JsonValue &doc, Pong &out, std::string &error);
-
-// ---- shard_run -------------------------------------------------------
-
-/** One deal: run @p points (canonical point ids) of the sweep that
- *  @p sweepJson (a serialized SimRequest line) describes. */
-struct ShardRun
-{
-    std::string id;             ///< deal id, echoed in rows and done
-    std::string sweepJson;      ///< SimRequest::toJson() of the sweep
-    std::vector<std::string> points;
-};
-
-std::string shardRunToJson(const ShardRun &run);
-bool parseShardRun(const svc::JsonValue &doc, ShardRun &out,
-                   std::string &error);
-
-// ---- row (streamed per completed point) ------------------------------
-
-struct RowMsg
-{
-    std::string id;             ///< the deal this row answers
-    std::string point;          ///< canonical point id
-    std::string key;            ///< the point's result-cache key
-    std::string rowLine;        ///< serializeResultRow() of the row
-};
-
-std::string rowToJson(const RowMsg &msg);
-bool parseRow(const svc::JsonValue &doc, RowMsg &out, std::string &error);
-
-// ---- shard_done ------------------------------------------------------
-
-struct ShardDone
-{
-    std::string id;
-    bool ok = false;
-    uint64_t points = 0;        ///< rows streamed for this deal
-    uint64_t cached = 0;        ///< of which worker-cache replays
-    uint64_t simulated = 0;     ///< of which fresh simulations
-    std::string errorCode;      ///< valid when !ok
-    std::string errorMessage;   ///< valid when !ok
-};
-
-std::string shardDoneToJson(const ShardDone &done);
-bool parseShardDone(const svc::JsonValue &doc, ShardDone &out,
-                    std::string &error);
 
 // ---- error -----------------------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include "common/logging.hh"
+#include "fabric/protocol.hh"
 #include "svc/sequencer.hh"
 #include "svc/sim_service.hh"
 
@@ -46,8 +47,12 @@ Connection::run()
     const int fd = _fd.get();
 
     ResponseSequencer::Config cfg;
-    cfg.submit = [this](const SimRequest &req) {
-        return _service.submit(req);
+    cfg.submit = [this](const SimRequest &req,
+                        const SimService::RowFn &onRow) {
+        return _service.submit(req, onRow);
+    };
+    cfg.pong = [this](const std::string &id) {
+        return fabric::pongToJson(fabric::pongOf(_service, id));
     };
     cfg.emit = [fd](const std::string &line) {
         // One response per write call keeps lines intact on the wire;
@@ -55,7 +60,6 @@ Connection::run()
         std::string out = line + "\n";
         return net::writeAll(fd, out.data(), out.size());
     };
-    cfg.rawSubmit = _opts.rawSubmit;
     cfg.parallel = _opts.parallel;
     cfg.maxPending = _opts.maxPending;
     cfg.shedOnFull = true;      // a full queue sheds, never stalls

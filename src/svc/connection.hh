@@ -1,10 +1,11 @@
 /**
  * @file
  * Connection — one accepted `momsim serve` client: a thread that
- * reads newline-delimited SimRequest JSON from the socket, drives the
- * shared ResponseSequencer (the same state machine `momsim batch`
- * runs over stdin/stdout), and streams SimResponse JSONL back, in
- * request order, tagged with this connection's client id.
+ * reads newline-delimited SimRequest JSON (and fabric pings) from the
+ * socket, drives the shared ResponseSequencer (the same state machine
+ * `momsim batch` runs over stdin/stdout), and streams SimResponse
+ * JSONL back, in request order, tagged with this connection's client
+ * id.
  *
  * Lifecycle: start() spawns the thread; the connection runs until the
  * client stops sending (EOF / half-close), the client stops *reading*
@@ -21,7 +22,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <thread>
 
@@ -49,12 +49,6 @@ class Connection
         int parallel = 2;       ///< submitter threads per connection
         size_t maxPending = 0;  ///< admission queue bound; 0 => auto
         bool withTiming = true;
-        /** Pre-parse interceptor for fabric messages (see
-         *  ResponseSequencer::Config::rawSubmit). Shared by every
-         *  connection of a server; null disables the fabric. */
-        std::function<bool(const std::string &line,
-                           const std::function<void(std::string)> &chunk,
-                           std::string &finalLine)> rawSubmit;
     };
 
     /** Takes ownership of @p fd. @p clientTag is this connection's

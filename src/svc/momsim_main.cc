@@ -49,7 +49,6 @@
 #include "common/logging.hh"
 #include "common/net.hh"
 #include "fabric/coord_main.hh"
-#include "fabric/handler.hh"
 #include "fabric/protocol.hh"
 #include "svc/bench_registry.hh"
 #include "svc/sequencer.hh"
@@ -134,9 +133,11 @@ runHelp(int argc, char **argv)
                 "                   stderr after the stream drains\n"
                 "\n"
                 "One SimRequest JSON object per input line "
-                "(schemaVersion %d); one\nSimResponse per output line, "
-                "in input order, tagged with the request's\nid. "
-                "Malformed lines produce ok:false responses in their "
+                "(schemaVersion %d; 1 is still\nread); one SimResponse "
+                "per output line, in input order, tagged with the\n"
+                "request's id. A request with \"stream\":true first "
+                "gets one line per row,\nin the result store's format. "
+                "Malformed lines produce ok:false responses\nin their "
                 "slot.\n",
                 kSimRequestSchemaVersion);
             return 0;
@@ -182,16 +183,21 @@ runHelp(int argc, char **argv)
                 "accepting, finish in-flight\nrequests, flush, exit 0 "
                 "(second signal: stop reading new requests).\n"
                 "\n"
-                "Fabric: lines whose JSON carries a top-level \"kind\" "
-                "speak the\ndistributed-sweep protocol instead. "
-                "{\"kind\":\"ping\"} answers with a pong\ncarrying the "
-                "worker's version fingerprint (%s),\nuptimeMs, inFlight "
-                "(requests executing), pendingPoints (dealt sweep\n"
-                "points not yet streamed back) and the scheduler's "
-                "lifetime gauges:\npointsSimulated, pointsDeduped "
-                "(in-flight joins), memCacheHits and\ndiskCacheHits; "
-                "\"shard_run\" executes a coordinator's deal — see\n"
-                "`momsim help coord`.\n",
+                "A request may name \"points\" (canonical point ids: "
+                "run only those) and\nset \"stream\":true (each row "
+                "first goes out as its own line in the\nresult store's "
+                "format, then the final response follows with empty\n"
+                "\"rows\"); this is how `momsim coord` deals a sweep "
+                "to its workers.\n"
+                "\n"
+                "Fabric: {\"kind\":\"ping\"} answers with a pong "
+                "carrying the worker's\nversion fingerprint (%s), "
+                "uptimeMs, inFlight\n(requests executing), "
+                "pendingPoints (dealt points not yet streamed\nback) "
+                "and the scheduler's lifetime gauges: pointsSimulated,\n"
+                "pointsDeduped (in-flight joins), memCacheHits and "
+                "diskCacheHits. Any\nother \"kind\" gets an "
+                "unknown_kind error line.\n",
                 momsim::fabric::fabricVersionString().c_str());
             return 0;
         }
@@ -287,14 +293,17 @@ runHelp(int argc, char **argv)
                 "their own stores\n"
                 "\n"
                 "The coordinator plans the sweep locally (skipping "
-                "points already in\n--cache-dir), deals the rest to the "
-                "workers cost-balanced, streams\ncompleted rows into "
-                "the store as they arrive, re-deals a dead or\nsilent "
-                "worker's unfinished points to idle workers, and prints "
-                "the\ncanonical output — byte-identical to the "
-                "single-process run.\nBench flags (--quick, --workload, "
-                "--cache-dir, --csv, ...) pass\nthrough; --shard and "
-                "--merge reject (they are the coordinator's job).\n");
+                "points already in\n--cache-dir) and deals the rest to "
+                "the workers cost-balanced: each deal\nis an ordinary "
+                "SimRequest naming its \"points\" with \"stream\":true, "
+                "so\ncompleted rows land in the store as they arrive and "
+                "the final response\nends the deal. A dead or silent "
+                "worker's unfinished points re-deal to\nidle workers, "
+                "and the output is the canonical one — byte-identical "
+                "to\nthe single-process run. Bench flags (--quick, "
+                "--workload, --cache-dir,\n--csv, ...) pass through; "
+                "--shard and --merge reject (they are the\n"
+                "coordinator's job).\n");
             return 0;
         }
         const BenchDef *def = findBench(argv[0]);
@@ -379,20 +388,16 @@ runBatch(int argc, char **argv)
         cfg.memCacheRows = static_cast<size_t>(memCacheRows);
     SimService service(cfg);
 
-    // batch speaks the fabric too (ping/shard_run over stdin/stdout) —
-    // the same handler serve wires in, which keeps the protocol
-    // testable without sockets.
-    momsim::fabric::WorkerHandler fabricHandler(service);
-
+    // batch answers pings and streams rows exactly as serve does,
+    // which keeps the whole wire testable without sockets.
     ResponseSequencer::Config scfg;
-    scfg.submit = [&service](const SimRequest &req) {
-        return service.submit(req);
+    scfg.submit = [&service](const SimRequest &req,
+                             const SimService::RowFn &onRow) {
+        return service.submit(req, onRow);
     };
-    scfg.rawSubmit = [&fabricHandler](
-                         const std::string &reqLine,
-                         const std::function<void(std::string)> &chunk,
-                         std::string &finalLine) {
-        return fabricHandler.handle(reqLine, chunk, finalLine);
+    scfg.pong = [&service](const std::string &id) {
+        return momsim::fabric::pongToJson(
+            momsim::fabric::pongOf(service, id));
     };
     scfg.emit = [](const std::string &line) {
         // In-order, line-buffered: each response is one line, flushed,

@@ -3,6 +3,9 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "driver/result_store.hh"
+#include "fabric/protocol.hh"
+#include "svc/json.hh"
 
 namespace momsim::svc
 {
@@ -97,56 +100,71 @@ ResponseSequencer::submitLoop()
         // Once delivery is dead there is no point simulating: drain
         // the queue so finish() completes, but skip the work.
         std::string json;
-        bool produced = false;
-        bool handled = false;
-        if (!_writeFailed.load(std::memory_order_acquire) &&
-            _cfg.rawSubmit) {
-            // Chunks enqueue under the slot's seq; the emitter streams
-            // them ahead of the final line. rawSubmit returns before
-            // the final is readied, so within one slot every chunk
-            // precedes the final by construction.
-            auto chunkFn = [this, seq = item.seq](std::string chunkLine) {
-                {
-                    MutexLock lock(_mutex);
-                    if (_writeFailed.load(std::memory_order_relaxed))
-                        return;     // undeliverable; drop quietly
-                    _chunks[seq].push_back(std::move(chunkLine));
-                }
-                _emitCv.notify_one();
-            };
-            std::string finalLine;
-            if (_cfg.rawSubmit(item.line, chunkFn, finalLine)) {
-                json = std::move(finalLine);
-                produced = true;
-                handled = true;
-            }
-        }
-        if (!handled &&
-            !_writeFailed.load(std::memory_order_acquire)) {
-            SimRequest req;
-            std::string error;
-            SimResponse resp;
-            if (SimRequest::fromJson(item.line, req, error)) {
-                resp = _cfg.submit(req);
-                resp.client =
-                    req.client.empty() ? _cfg.clientTag : req.client;
-            } else {
-                resp = SimResponse::failure(salvageTopLevelId(item.line),
-                                            errc::kBadRequest, error);
-                resp.client = _cfg.clientTag;
-            }
-            json = resp.toJson(_cfg.withTiming);
-            produced = true;
-        }
+        if (!_writeFailed.load(std::memory_order_acquire))
+            json = answer(item);
         {
             MutexLock lock(_mutex);
             // Even a dropped item claims its slot (empty marker) so
             // the emitter's in-order cursor can pass it.
-            _ready.emplace(item.seq,
-                           produced ? std::move(json) : std::string());
+            _ready.emplace(item.seq, std::move(json));
         }
         _emitCv.notify_one();
     }
+}
+
+std::string
+ResponseSequencer::answer(const Item &item)
+{
+    JsonValue doc;
+    std::string error;
+    SimRequest req;
+    if (parseJson(item.line, doc, error)) {
+        const std::string kind = fabric::kindOf(doc);
+        if (!kind.empty()) {
+            const JsonValue *id = doc.field("id");
+            const std::string tag =
+                id && id->isString() ? id->text : std::string();
+            if (kind == "ping")
+                return _cfg.pong(tag);
+            return fabric::errorToJson(
+                tag, "unknown_kind",
+                strfmt("unknown fabric message kind \"%s\"",
+                       kind.c_str()));
+        }
+        if (SimRequest::fromJson(doc, req, error)) {
+            driver::ExperimentRunner::RowFn onRow;
+            if (req.stream) {
+                // Rows queue under the slot's seq; the emitter streams
+                // them ahead of the final line, which lands in _ready
+                // only after submit returns.
+                onRow = [this, seq = item.seq](
+                            const driver::PlannedPoint &p,
+                            const driver::ResultRow &row) {
+                    std::string line;
+                    line.reserve(driver::kResultRowBytesHint +
+                                 p.key.size());
+                    driver::appendStoreLine(line, p.key, row,
+                                            _cfg.withTiming);
+                    {
+                        MutexLock lock(_mutex);
+                        if (_writeFailed.load(std::memory_order_relaxed))
+                            return;     // undeliverable; drop quietly
+                        _chunks[seq].push_back(std::move(line));
+                    }
+                    _emitCv.notify_one();
+                };
+            }
+            SimResponse resp = _cfg.submit(req, onRow);
+            resp.client = req.client.empty() ? _cfg.clientTag : req.client;
+            if (req.stream)
+                resp.rows.clear();  // every row already went out
+            return resp.toJson(_cfg.withTiming);
+        }
+    }
+    SimResponse resp = SimResponse::failure(salvageTopLevelId(item.line),
+                                            errc::kBadRequest, error);
+    resp.client = _cfg.clientTag;
+    return resp.toJson(_cfg.withTiming);
 }
 
 void

@@ -7,15 +7,20 @@
  *
  * One sequencer instance drives one input stream: the transport's
  * reader thread push()es raw request lines; N submitter threads parse
- * and execute them through the configured submit hook (SimService in
- * production); one emitter thread hands finished responses to the
+ * each line once and dispatch it — `{"kind":"ping"}` gets the pong
+ * hook's line, any other "kind" an unknown_kind error, and everything
+ * else is a SimRequest executed through the submit hook (SimService
+ * in production); one emitter thread hands finished responses to the
  * emit hook strictly in input order, no matter how the submitters
- * interleave. The pending queue is bounded (maxPending): in blocking
- * mode (batch — stdin has natural backpressure) a full queue blocks
- * push(); in shedding mode (serve — a stalled socket must not stall
- * the daemon) a full queue answers the request immediately with a
- * structured kOverloaded error in its sequence slot, without
- * executing it.
+ * interleave. A request with `stream` set gets each row as its own
+ * line in its slot, live once the slot is the oldest in flight and
+ * always before the slot's final response.
+ *
+ * The pending queue is bounded (maxPending): in blocking mode (batch —
+ * stdin has natural backpressure) a full queue blocks push(); in
+ * shedding mode (serve — a stalled socket must not stall the daemon) a
+ * full queue answers the request immediately with a structured
+ * kOverloaded error in its sequence slot, without executing it.
  *
  * Delivery failure (emit returning false: the client closed the pipe
  * or socket) flips the sequencer into drain mode — queued and future
@@ -41,6 +46,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hh"
+#include "driver/experiment.hh"
 #include "svc/sim_request.hh"
 #include "svc/sim_response.hh"
 
@@ -53,30 +59,21 @@ class ResponseSequencer
     struct Config
     {
         /** Executes one parsed request (SimService::submit in
-         *  production; injectable for tests). Must be callable from
-         *  several submitter threads at once. */
-        std::function<SimResponse(const SimRequest &)> submit;
+         *  production; injectable for tests), handing a streamed
+         *  request's rows to the row callback (null otherwise). Must
+         *  be callable from several submitter threads at once. */
+        std::function<SimResponse(const SimRequest &,
+                                  const driver::ExperimentRunner::RowFn &)>
+            submit;
+
+        /** The pong line answering a ping whose "id" is @p id ("" if
+         *  none). */
+        std::function<std::string(const std::string &id)> pong;
 
         /** Delivers one serialized response line (no newline). Called
          *  only from the emitter thread, strictly in input order.
          *  Returning false marks delivery as dead. */
         std::function<bool(const std::string &jsonLine)> emit;
-
-        /**
-         * Optional transport-level interceptor for lines that are not
-         * plain SimRequests (the fabric protocol's "kind"-tagged
-         * messages). Called from a submitter thread before SimRequest
-         * parsing; returning true claims the line and @p finalLine is
-         * emitted in the request's sequence slot. Lines passed to
-         * @p chunk along the way stream back in the same slot *before*
-         * the final line — and stream live (as they are produced) once
-         * the slot is the oldest in flight, which is how a fabric
-         * shard_run's rows reach the coordinator per-completion while
-         * per-request ordering stays intact for everyone else.
-         */
-        std::function<bool(const std::string &line,
-                           const std::function<void(std::string)> &chunk,
-                           std::string &finalLine)> rawSubmit;
 
         int parallel = 2;       ///< submitter threads (clamped 1..16)
         size_t maxPending = 0;  ///< input backlog bound; 0 => auto
@@ -128,6 +125,9 @@ class ResponseSequencer
 
     void submitLoop();
     void emitLoop();
+    /** The final line of @p item's slot; a streamed request's rows go
+     *  to the slot's chunk queue first. */
+    std::string answer(const Item &item);
 
     Config _cfg;    ///< set in the ctor, immutable afterwards
 
@@ -138,8 +138,8 @@ class ResponseSequencer
     std::deque<Item> _pending GUARDED_BY(_mutex);
     /** seq -> response JSON. */
     std::map<size_t, std::string> _ready GUARDED_BY(_mutex);
-    /** seq -> streamed chunk lines, emitted before that slot's final
-     *  response (rawSubmit enqueues chunks strictly before _ready). */
+    /** seq -> streamed row lines, emitted before that slot's final
+     *  response (answer() enqueues them strictly before _ready). */
     std::map<size_t, std::deque<std::string>> _chunks GUARDED_BY(_mutex);
     bool _inputDone GUARDED_BY(_mutex) = false;
     size_t _accepted GUARDED_BY(_mutex) = 0;

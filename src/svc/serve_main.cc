@@ -15,8 +15,6 @@
 #include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/net.hh"
-#include "fabric/handler.hh"
-#include "fabric/protocol.hh"
 #include "svc/connection.hh"
 #include "svc/json.hh"
 #include "svc/listener.hh"
@@ -164,21 +162,10 @@ runServe(int argc, char **argv)
         std::rename(tmp.c_str(), readyFile.c_str());
     }
 
-    // Every connection shares one fabric handler: a coordinator's
-    // ping/shard_run lines are intercepted ahead of SimRequest parsing,
-    // plain clients never notice it exists.
-    fabric::WorkerHandler fabricHandler(service);
-
     Connection::Options copts;
     copts.parallel = parallel;
     copts.maxPending = static_cast<size_t>(maxPending);
     copts.withTiming = withTiming;
-    copts.rawSubmit = [&fabricHandler](
-                          const std::string &line,
-                          const std::function<void(std::string)> &chunk,
-                          std::string &finalLine) {
-        return fabricHandler.handle(line, chunk, finalLine);
-    };
 
     std::vector<std::unique_ptr<Connection>> conns;
     uint64_t serial = 0;

@@ -97,9 +97,11 @@ SimRequest::toJson() const
                   static_cast<unsigned long long>(seed));
     out += strfmt("\"shardIndex\":%d,\"shardCount\":%d,", shardIndex,
                   shardCount);
-    if (batch != 1)
-        out += strfmt("\"batch\":%d,", batch);
     out += "\"cacheDir\":" + jsonQuote(cacheDir);
+    if (!points.empty())
+        out += ",\"points\":" + stringArray(points);
+    if (stream)
+        out += ",\"stream\":true";
     return out + "}";
 }
 
@@ -108,8 +110,13 @@ SimRequest::fromJson(const std::string &json, SimRequest &out,
                      std::string &error)
 {
     JsonValue doc;
-    if (!parseJson(json, doc, error))
-        return false;
+    return parseJson(json, doc, error) && fromJson(doc, out, error);
+}
+
+bool
+SimRequest::fromJson(const JsonValue &doc, SimRequest &out,
+                     std::string &error)
+{
     if (!doc.isObject()) {
         error = "request must be a JSON object";
         return false;
@@ -127,9 +134,9 @@ SimRequest::fromJson(const std::string &json, SimRequest &out,
         error = "field \"schemaVersion\" must be an integer";
         return false;
     }
-    if (version != kSimRequestSchemaVersion) {
+    if (version < 1 || version > kSimRequestSchemaVersion) {
         error = strfmt("unsupported schemaVersion %d (this build speaks "
-                       "%d)", version, kSimRequestSchemaVersion);
+                       "1 to %d)", version, kSimRequestSchemaVersion);
         return false;
     }
 
@@ -192,11 +199,27 @@ SimRequest::fromJson(const std::string &json, SimRequest &out,
                 error = "field \"shardCount\" must be an integer";
                 return false;
             }
-        } else if (name == "batch") {
-            if (!v.toInt(req.batch)) {
+        } else if (name == "batch" && version == 1) {
+            // v1's retired execution knob: still validated, never used.
+            int batch = 0;
+            if (!v.toInt(batch)) {
                 error = "field \"batch\" must be an integer";
                 return false;
             }
+            if (batch < 1) {
+                error = strfmt("bad batch %d (want an integer >= 1)",
+                               batch);
+                return false;
+            }
+        } else if (name == "points" && version >= 2) {
+            if (!readStringArray(v, "points", req.points, error))
+                return false;
+        } else if (name == "stream" && version >= 2) {
+            if (!v.isBool()) {
+                error = "field \"stream\" must be a boolean";
+                return false;
+            }
+            req.stream = v.boolean;
         } else {
             // Strict by design: a misspelled field silently ignored
             // would run the wrong sweep and cache it under the wrong

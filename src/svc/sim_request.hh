@@ -27,8 +27,13 @@
 namespace momsim::svc
 {
 
-/** Version of the SimRequest wire format. Bump on any field change. */
-constexpr int kSimRequestSchemaVersion = 1;
+struct JsonValue;
+
+/**
+ * Version of the SimRequest wire format. Bump on any field change.
+ * v2 = v1 - batch + points + stream. fromJson still reads v1 lines.
+ */
+constexpr int kSimRequestSchemaVersion = 2;
 
 struct SimRequest
 {
@@ -65,28 +70,44 @@ struct SimRequest
     uint64_t seed = 0;          ///< base of the per-task seeds
     int shardIndex = 1;         ///< 1-based, <= shardCount
     int shardCount = 1;
-    /**
-     * Retired execution knob, kept only for wire compatibility with
-     * schemaVersion 1: it is still parsed, rejected below 1 and
-     * serialized when != 1, but execution ignores it (every sweep runs
-     * one point per worker task). The next schemaVersion bump drops
-     * the field.
-     */
-    int batch = 1;
     std::string cacheDir;       ///< "" => no persistence
 
-    /** One-line JSON, fixed field order (JSONL-ready). */
+    /**
+     * Canonical ids of the sweep points to run; empty runs them all.
+     * A non-empty list is the request's shard (it needs shardCount 1)
+     * and every id must name a point of the expanded sweep. The
+     * fabric coordinator deals each worker its points this way.
+     */
+    std::vector<std::string> points;
+
+    /**
+     * Stream the rows: the batch and serve transports write each one as
+     * its own line in the result store's format (`{"key":...,` plus the
+     * row's fields), disk-cache hits first in sweep order, the rest as
+     * they complete, and then the final SimResponse with the plan
+     * summary and an empty "rows". SimService::submit itself returns
+     * the rows as usual.
+     */
+    bool stream = false;
+
+    /** One-line JSON at kSimRequestSchemaVersion, fixed field order
+     *  (JSONL-ready); points and stream only when set. */
     std::string toJson() const;
 
     /**
-     * Strict parse of one JSON document. Requires schemaVersion ==
-     * kSimRequestSchemaVersion; rejects unknown fields, wrong types
-     * and malformed JSON with a one-line description in @p error.
-     * Structural validity only — semantic checks (known bench, known
-     * workloads, shard bounds) happen in SimService::submit so they
-     * come back as structured SimResponse errors.
+     * Strict parse of one JSON document. Accepts schemaVersion 1 (with
+     * its retired "batch" knob: parsed, rejected below 1, then
+     * ignored) and kSimRequestSchemaVersion; rejects unknown fields,
+     * wrong types and malformed JSON with a one-line description in
+     * @p error. Structural validity only — semantic checks (known
+     * bench, known workloads, shard bounds) happen in SimService::
+     * submit so they come back as structured SimResponse errors.
      */
     static bool fromJson(const std::string &json, SimRequest &out,
+                         std::string &error);
+
+    /** fromJson on a document the transport has already parsed. */
+    static bool fromJson(const JsonValue &doc, SimRequest &out,
                          std::string &error);
 };
 

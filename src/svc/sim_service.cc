@@ -27,7 +27,8 @@ nowMs()
 } // namespace
 
 SimService::SimService(SimServiceConfig cfg)
-    : _sched(driver::PointScheduler::Config { cfg.jobs,
+    : _start(std::chrono::steady_clock::now()),
+      _sched(driver::PointScheduler::Config { cfg.jobs,
                                               cfg.memCacheRows }),
       _buildPool(std::make_shared<workloads::BuildPool>(cfg.jobs)),
       _paperRepo(workloads::WorkloadScale::Paper, _buildPool),
@@ -163,24 +164,17 @@ SimService::resolveGrid(const SimRequest &req, driver::SweepGrid &grid,
     return true;
 }
 
-SimResponse
-SimService::submit(const SimRequest &req)
+uint64_t
+SimService::uptimeMs() const
 {
-    return execute(req, nullptr, nullptr);
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - _start)
+            .count());
 }
 
 SimResponse
-SimService::submitFiltered(const SimRequest &req,
-                           const std::vector<std::string> &pointIds,
-                           const RowFn &onRow)
-{
-    return execute(req, &pointIds, onRow);
-}
-
-SimResponse
-SimService::execute(const SimRequest &req,
-                    const std::vector<std::string> *pointIds,
-                    const RowFn &onRow)
+SimService::submit(const SimRequest &req, const RowFn &onRow)
 {
     struct ActiveGuard
     {
@@ -205,16 +199,11 @@ SimService::execute(const SimRequest &req,
             strfmt("bad shard %d/%d (want 1 <= I <= N)", req.shardIndex,
                    req.shardCount));
     }
-    if (pointIds && req.shardCount != 1) {
+    if (!req.points.empty() && req.shardCount != 1) {
         return SimResponse::failure(
             req.id, errc::kBadShard,
-            "a filtered (shard_run) request must be unsharded — the "
-            "point filter is the shard");
-    }
-    if (req.batch < 1) {
-        return SimResponse::failure(
-            req.id, errc::kBadRequest,
-            strfmt("bad batch %d (want an integer >= 1)", req.batch));
+            "a request naming \"points\" must be unsharded — the "
+            "point list is the shard");
     }
     for (const std::string &name : req.workloads) {
         if (!workloads::WorkloadSpec::isKnown(name)) {
@@ -285,12 +274,12 @@ SimService::execute(const SimRequest &req,
         planSweep(grid.expand(req.seed), repo, store,
                   req.shardIndex - 1, req.shardCount);
 
-    if (pointIds) {
-        // Keep only the dealt points: everything else becomes foreign
+    if (!req.points.empty()) {
+        // Keep only the named points: everything else becomes foreign
         // (shard -1, which is never plan.shardIndex), so the runner
-        // simulates — and the counts describe — exactly the filter.
-        std::unordered_set<std::string> want(pointIds->begin(),
-                                             pointIds->end());
+        // simulates — and the counts describe — exactly the list.
+        std::unordered_set<std::string> want(req.points.begin(),
+                                             req.points.end());
         for (driver::PlannedPoint &p : plan.points) {
             auto it = want.find(p.spec.canonicalId());
             if (it == want.end())
@@ -304,7 +293,7 @@ SimService::execute(const SimRequest &req,
             // unknowns would pick a hash-order-dependent one — a
             // nondeterministic response byte.
             const std::string *unknown = nullptr;
-            for (const std::string &id : *pointIds) {
+            for (const std::string &id : req.points) {
                 if (want.count(id) != 0) {
                     unknown = &id;
                     break;
@@ -315,19 +304,33 @@ SimService::execute(const SimRequest &req,
                 strfmt("unknown point \"%s\" (not in this sweep)",
                        unknown->c_str()));
         }
-        // Cache hits among the dealt points replay right away, in
-        // sweep order, before any simulation starts.
-        if (onRow) {
-            for (const driver::PlannedPoint &p : plan.points) {
-                if (p.shard == plan.shardIndex && p.cached)
-                    onRow(p, p.row);
-            }
+    }
+
+    // Disk-cache hits replay right away, in sweep order, before any
+    // simulation starts; the runner delivers the rest.
+    if (onRow) {
+        for (const driver::PlannedPoint &p : plan.points) {
+            if (p.shard == plan.shardIndex && p.cached)
+                onRow(p, p.row);
         }
     }
+    // A deal's points stay pending until their rows are delivered;
+    // run() returns only after every one of them was.
+    const long dealt = req.points.empty()
+                           ? 0
+                           : static_cast<long>(plan.simulateCount());
+    _pendingPoints.fetch_add(dealt, std::memory_order_relaxed);
+    auto deliver = [&](const driver::PlannedPoint &p,
+                       const driver::ResultRow &row) {
+        if (dealt != 0)
+            _pendingPoints.fetch_sub(1, std::memory_order_relaxed);
+        if (onRow)
+            onRow(p, row);
+    };
 
     _sched.noteDiskCacheHits(plan.cachedMineCount());
     driver::ResultSink sink =
-        driver::ExperimentRunner(repo, _sched).run(plan, store, onRow);
+        driver::ExperimentRunner(repo, _sched).run(plan, store, deliver);
 
     SimResponse resp;
     resp.id = req.id;

@@ -35,7 +35,8 @@
 #define MOMSIM_SVC_SIM_SERVICE_HH
 
 #include <atomic>
-#include <functional>
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,40 +69,40 @@ class SimService
     SimService(const SimService &) = delete;
     SimService &operator=(const SimService &) = delete;
 
+    /** Per-row callback of submit: the planned point (with its cache
+     *  key) and its row. Serialized. */
+    using RowFn = driver::ExperimentRunner::RowFn;
+
     /**
      * Execute @p req and return its response. Thread-safe; concurrent
      * callers' sweep points interleave on the shared scheduler. Never
      * exits, never throws for request-shaped problems (only for
      * simulator bugs, which panic as they always have).
+     *
+     * @p onRow, when given, sees every row of the response: disk-cache
+     * hits first in sweep order, then the rest as they complete. A
+     * request naming `points` runs only those (see SimRequest::points)
+     * and its response still reports the full sweep's totalPoints, as
+     * a sharded request does.
      */
-    SimResponse submit(const SimRequest &req);
+    SimResponse submit(const SimRequest &req, const RowFn &onRow = nullptr);
 
-    /** Per-row callback of submitFiltered: the planned point (with
-     *  its cache key) and its row, cached replays first (in sweep
-     *  order), then fresh rows as they complete. Serialized. */
-    using RowFn = std::function<void(const driver::PlannedPoint &,
-                                     const driver::ResultRow &)>;
-
-    /**
-     * Execute only the sweep points of @p req whose canonical ids are
-     * in @p pointIds — the fabric worker's entry point: a coordinator
-     * plans the full sweep itself and deals each worker a subset by
-     * id. The request must be unsharded (shard 1/1; the filter *is*
-     * the shard), and every id must name a point of the expanded
-     * sweep. @p onRow fires per completed point (cache hits replay
-     * immediately); the response carries the same rows plus the
-     * full-sweep totalPoints, like a sharded submit would.
-     */
-    SimResponse submitFiltered(const SimRequest &req,
-                               const std::vector<std::string> &pointIds,
-                               const RowFn &onRow);
-
-    /** Requests currently inside submit()/submitFiltered(). The serve
-     *  ping reports this. */
+    /** Requests currently inside submit(). The serve ping reports
+     *  this. */
     int inFlight() const
     {
         return _active.load(std::memory_order_relaxed);
     }
+
+    /** Points of in-flight requests naming `points` (the fabric's
+     *  deals) that have not finished yet. The serve ping reports this. */
+    long pendingPoints() const
+    {
+        return _pendingPoints.load(std::memory_order_relaxed);
+    }
+
+    /** Milliseconds since this service was constructed. */
+    uint64_t uptimeMs() const;
 
     /** The scheduler's gauge set (points simulated / dedup-joined /
      *  memory-cache hits / disk-cache hits, ...) — the serve ping and
@@ -137,14 +138,10 @@ class SimService
     bool resolveGrid(const SimRequest &req, driver::SweepGrid &grid,
                      std::string &benchName, SimResponse &error) const;
 
-    /** Shared core of submit/submitFiltered. @p pointIds null means
-     *  unfiltered. */
-    SimResponse execute(const SimRequest &req,
-                        const std::vector<std::string> *pointIds,
-                        const RowFn &onRow);
-
+    const std::chrono::steady_clock::time_point _start;
     driver::PointScheduler _sched;
     std::atomic<int> _active{ 0 };
+    std::atomic<long> _pendingPoints{ 0 };
     /** One --jobs synthesis budget shared by both scales' repos. */
     std::shared_ptr<workloads::BuildPool> _buildPool;
     workloads::WorkloadRepo _paperRepo;

@@ -74,10 +74,11 @@ grep -q '\[coord\] plan:' "$dir/coord.err" \
 
 # ---- (2) kill one worker mid-shard: re-deal, still byte-identical ----
 # The victim runs --jobs 1 so its shard executes serially, leaving a
-# wide window between its `[fabric] shard_run` log line (printed before
-# execution starts) and shard completion.  A worker can still finish a
-# small deal before the poll loop lands the SIGKILL, so the whole
-# scenario retries a few times; one successful mid-shard kill passes.
+# wide window between accepting the deal (its pong's pendingPoints,
+# read by a ping on a second connection, turns positive) and shard
+# completion.  A worker can still finish a small deal before the poll
+# loop lands the SIGKILL, so the whole scenario retries a few times;
+# one successful mid-shard kill passes.
 killed_ok=""
 for attempt in 1 2 3 4; do
     start_worker "victim$attempt" --jobs 1
@@ -93,7 +94,11 @@ for attempt in 1 2 3 4; do
 
     # Kill the victim the moment it starts executing a deal.
     for _ in $(seq 1 400); do
-        grep -q '\[fabric\] shard_run' "$dir/victim$attempt.err" && break
+        pending=$(echo '{"kind":"ping"}' \
+            | timeout 10 "$MOMSIM" client --connect "127.0.0.1:$vport" \
+                2>/dev/null \
+            | sed -n 's/.*"pendingPoints":\([0-9]*\).*/\1/p')
+        [ "${pending:-0}" -gt 0 ] && break
         kill -0 "$coord_pid" 2>/dev/null || break
         sleep 0.05
     done

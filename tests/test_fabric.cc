@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the distributed-sweep fabric (src/fabric/): the wire
- * protocol round-trips and rejects version skew, the Dealer's
- * fault-tolerance state machine (worker death mid-shard re-deals,
- * duplicate completions are idempotent, an all-dead fleet reports
- * failure instead of hanging), the WorkerHandler end to end against a
- * real SimService, and the sequencer's chunk streaming that carries
- * fabric rows without reordering anyone else's responses.
+ * Tests for the distributed-sweep fabric (src/fabric/): the pong
+ * round-trips and rejects version skew, the Dealer's fault-tolerance
+ * state machine (worker death mid-shard re-deals, duplicate
+ * completions are idempotent, an all-dead fleet reports failure
+ * instead of hanging), the worker's side of the wire end to end (a
+ * sequencer wired to a real SimService, as `momsim batch` and `momsim
+ * serve` wire it), and the sequencer's streaming of a request's rows
+ * without reordering anyone else's responses.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include "driver/experiment.hh"
 #include "driver/result_store.hh"
 #include "fabric/dealer.hh"
-#include "fabric/handler.hh"
 #include "fabric/protocol.hh"
 #include "svc/json.hh"
 #include "svc/sequencer.hh"
@@ -75,70 +75,6 @@ TEST(FabricProtocol, PongRoundTrips)
     EXPECT_EQ(back.diskCacheHits, pong.diskCacheHits);
 }
 
-TEST(FabricProtocol, ShardRunRoundTrips)
-{
-    ShardRun run;
-    run.id = "d0-1";
-    run.sweepJson = "{\"schemaVersion\":1,\"bench\":\"fig6\"}";
-    run.points = { "paper/mmx/t1/perfect/rr", "paper/mmx/t2/perfect/rr" };
-
-    ShardRun back;
-    std::string error;
-    ASSERT_TRUE(
-        parseShardRun(mustParse(shardRunToJson(run)), back, error))
-        << error;
-    EXPECT_EQ(back.id, run.id);
-    // The embedded sweep must come back byte-exact: it re-parses as a
-    // SimRequest on the worker, where a mangled escape would change
-    // cache keys.
-    EXPECT_EQ(back.sweepJson, run.sweepJson);
-    EXPECT_EQ(back.points, run.points);
-}
-
-TEST(FabricProtocol, RowAndShardDoneRoundTrip)
-{
-    RowMsg msg;
-    msg.id = "d1-0";
-    msg.point = "paper/mmx/t1/perfect/rr";
-    msg.key = "k|1|2";
-    msg.rowLine = "{\"schema\":4,\"id\":\"x\",\"ipc\":0.5}";
-    RowMsg rowBack;
-    std::string error;
-    ASSERT_TRUE(parseRow(mustParse(rowToJson(msg)), rowBack, error))
-        << error;
-    EXPECT_EQ(rowBack.point, msg.point);
-    EXPECT_EQ(rowBack.key, msg.key);
-    EXPECT_EQ(rowBack.rowLine, msg.rowLine);
-
-    ShardDone ok;
-    ok.id = "d1-0";
-    ok.ok = true;
-    ok.points = 7;
-    ok.cached = 2;
-    ok.simulated = 5;
-    ShardDone okBack;
-    ASSERT_TRUE(
-        parseShardDone(mustParse(shardDoneToJson(ok)), okBack, error))
-        << error;
-    EXPECT_TRUE(okBack.ok);
-    EXPECT_EQ(okBack.points, 7u);
-    EXPECT_EQ(okBack.cached, 2u);
-    EXPECT_EQ(okBack.simulated, 5u);
-
-    ShardDone bad;
-    bad.id = "d1-1";
-    bad.ok = false;
-    bad.errorCode = "bad_sweep";
-    bad.errorMessage = "no such bench";
-    ShardDone badBack;
-    ASSERT_TRUE(
-        parseShardDone(mustParse(shardDoneToJson(bad)), badBack, error))
-        << error;
-    EXPECT_FALSE(badBack.ok);
-    EXPECT_EQ(badBack.errorCode, "bad_sweep");
-    EXPECT_EQ(badBack.errorMessage, "no such bench");
-}
-
 TEST(FabricProtocol, RejectsVersionSkewAndUnknownFields)
 {
     std::string error;
@@ -150,23 +86,13 @@ TEST(FabricProtocol, RejectsVersionSkewAndUnknownFields)
         pong, error));
     EXPECT_NE(error.find("fabricVersion"), std::string::npos) << error;
 
-    ShardRun run;
     error.clear();
-    EXPECT_FALSE(parseShardRun(
-        mustParse(strfmt("{\"kind\":\"shard_run\",\"fabricVersion\":%d,"
-                         "\"id\":\"d\",\"sweep\":\"{}\","
-                         "\"points\":[\"p\"],\"surprise\":1}",
-                         kFabricSchemaVersion)),
-        run, error));
+    Pong good;
+    good.version = fabricVersionString();
+    std::string line = pongToJson(good);
+    line.insert(line.size() - 1, ",\"surprise\":1");
+    EXPECT_FALSE(parsePong(mustParse(line), pong, error));
     EXPECT_NE(error.find("surprise"), std::string::npos) << error;
-
-    // An empty deal is meaningless and must reject, not no-op.
-    error.clear();
-    EXPECT_FALSE(parseShardRun(
-        mustParse(strfmt("{\"kind\":\"shard_run\",\"fabricVersion\":%d,"
-                         "\"id\":\"d\",\"sweep\":\"{}\",\"points\":[]}",
-                         kFabricSchemaVersion)),
-        run, error));
 }
 
 TEST(FabricProtocol, KindOfSeparatesTheTwoProtocols)
@@ -191,7 +117,6 @@ makePoints(int n)
     for (int i = 0; i < n; ++i) {
         DealPoint p;
         p.id = strfmt("p%d", i);
-        p.key = strfmt("k%d", i);
         p.cost = 1.0 + i;
         points.push_back(std::move(p));
     }
@@ -310,7 +235,7 @@ TEST(Dealer, BlockedClaimWakesWhenAnotherWorkerDies)
 }
 
 // ---------------------------------------------------------------------
-// WorkerHandler against a real SimService
+// The worker's side of the wire, against a real SimService
 // ---------------------------------------------------------------------
 
 /** The quickest real sweep: one point, tiny scale, capped cycles. */
@@ -341,20 +266,40 @@ tinyPointIds()
     return ids;
 }
 
-TEST(WorkerHandler, PingAnswersPongWithVersionAndGauges)
+/** Every line a sequencer wired to @p service the way `momsim batch`
+ *  wires it emits for @p input, in order. */
+std::vector<std::string>
+answer(svc::SimService &service, const std::vector<std::string> &input)
+{
+    std::vector<std::string> out;
+    svc::ResponseSequencer::Config cfg;
+    cfg.submit = [&service](const svc::SimRequest &req,
+                            const svc::SimService::RowFn &onRow) {
+        return service.submit(req, onRow);
+    };
+    cfg.pong = [&service](const std::string &id) {
+        return pongToJson(pongOf(service, id));
+    };
+    cfg.emit = [&out](const std::string &line) {
+        out.push_back(line);    // the one emitter thread
+        return true;
+    };
+    cfg.withTiming = false;
+    svc::ResponseSequencer seq(cfg);
+    for (const std::string &line : input)
+        seq.push(line);
+    seq.finish();
+    return out;
+}
+
+TEST(FabricWorker, PingAnswersPongWithVersionAndGauges)
 {
     svc::SimService service;
-    WorkerHandler handler(service);
-    std::vector<std::string> chunks;
-    std::string finalLine;
-    ASSERT_TRUE(handler.handle(
-        pingToJson("hi"),
-        [&](std::string line) { chunks.push_back(std::move(line)); },
-        finalLine));
-    EXPECT_TRUE(chunks.empty());
+    const std::vector<std::string> out = answer(service, { pingToJson("hi") });
+    ASSERT_EQ(out.size(), 1u);
     Pong pong;
     std::string error;
-    ASSERT_TRUE(parsePong(mustParse(finalLine), pong, error)) << error;
+    ASSERT_TRUE(parsePong(mustParse(out[0]), pong, error)) << error;
     EXPECT_EQ(pong.id, "hi");
     EXPECT_EQ(pong.version, fabricVersionString());
     EXPECT_EQ(pong.inFlight, 0);
@@ -366,137 +311,140 @@ TEST(WorkerHandler, PingAnswersPongWithVersionAndGauges)
     EXPECT_EQ(pong.diskCacheHits, 0u);
 }
 
-TEST(WorkerHandler, ShardRunStreamsRowsThenReportsDone)
+TEST(FabricWorker, StreamedPointsSendRowsThenTheResponse)
 {
     svc::SimService service;
-    WorkerHandler handler(service);
     const std::vector<std::string> ids = tinyPointIds();
     ASSERT_EQ(ids.size(), 1u);
 
-    ShardRun deal;
+    svc::SimRequest deal = tinyRequest();
     deal.id = "d0-0";
-    deal.sweepJson = tinyRequest().toJson();
     deal.points = ids;
+    deal.stream = true;
+    const std::vector<std::string> out = answer(service, { deal.toJson() });
 
-    std::vector<std::string> chunks;
-    std::string finalLine;
-    ASSERT_TRUE(handler.handle(
-        shardRunToJson(deal),
-        [&](std::string line) { chunks.push_back(std::move(line)); },
-        finalLine));
-
-    ASSERT_EQ(chunks.size(), 1u);
-    RowMsg msg;
-    std::string error;
-    ASSERT_TRUE(parseRow(mustParse(chunks[0]), msg, error)) << error;
-    EXPECT_EQ(msg.id, deal.id);
-    EXPECT_EQ(msg.point, ids[0]);
-    EXPECT_FALSE(msg.key.empty());
+    // One store line per dealt point, then the final response.
+    ASSERT_EQ(out.size(), 2u);
+    std::string key;
     driver::ResultRow row;
-    ASSERT_TRUE(driver::parseResultRow(msg.rowLine, row));
-    EXPECT_EQ(row.id + "", msg.point);
+    ASSERT_TRUE(driver::readStoreLine(mustParse(out[0]), key, row))
+        << out[0];
+    EXPECT_EQ(key.rfind(ids[0] + "|", 0), 0u) << key;
+    EXPECT_EQ(row.id, ids[0]);
 
-    ShardDone done;
-    ASSERT_TRUE(parseShardDone(mustParse(finalLine), done, error))
-        << error;
-    EXPECT_TRUE(done.ok);
-    EXPECT_EQ(done.id, deal.id);
-    EXPECT_EQ(done.points, 1u);
-    EXPECT_EQ(done.simulated, 1u);
-    EXPECT_EQ(done.cached, 0u);
-    EXPECT_EQ(handler.pendingPoints(), 0);
+    const svc::JsonValue done = mustParse(out[1]);
+    EXPECT_EQ(done.field("key"), nullptr);
+    EXPECT_EQ(done.field("id")->text, deal.id);
+    EXPECT_TRUE(done.field("ok")->boolean) << out[1];
+    const svc::JsonValue *plan = done.field("plan");
+    ASSERT_NE(plan, nullptr) << out[1];
+    uint64_t simulated = 0, cached = 0;
+    EXPECT_TRUE(plan->field("simulated")->toU64(simulated));
+    EXPECT_TRUE(plan->field("cached")->toU64(cached));
+    EXPECT_EQ(simulated, 1u);
+    EXPECT_EQ(cached, 0u);
+    // The rows already went out; the final response carries none.
+    EXPECT_TRUE(done.field("rows")->items.empty()) << out[1];
+    EXPECT_EQ(service.pendingPoints(), 0);
 }
 
-TEST(WorkerHandler, UnknownPointFailsTheDeal)
+TEST(FabricWorker, UnknownPointFailsTheRequest)
 {
     svc::SimService service;
-    WorkerHandler handler(service);
-    ShardRun deal;
+    svc::SimRequest deal = tinyRequest();
     deal.id = "d0-0";
-    deal.sweepJson = tinyRequest().toJson();
     deal.points = { "not/a/real/point" };
+    deal.stream = true;
+    const std::vector<std::string> out = answer(service, { deal.toJson() });
 
-    std::vector<std::string> chunks;
-    std::string finalLine;
-    ASSERT_TRUE(handler.handle(
-        shardRunToJson(deal),
-        [&](std::string line) { chunks.push_back(std::move(line)); },
-        finalLine));
-    EXPECT_TRUE(chunks.empty());
-    ShardDone done;
-    std::string error;
-    ASSERT_TRUE(parseShardDone(mustParse(finalLine), done, error))
-        << error;
-    EXPECT_FALSE(done.ok);
-    EXPECT_EQ(done.errorCode, svc::errc::kBadRequest);
+    ASSERT_EQ(out.size(), 1u);  // no row line, just the failure
+    const svc::JsonValue done = mustParse(out[0]);
+    EXPECT_EQ(done.field("id")->text, deal.id);
+    EXPECT_FALSE(done.field("ok")->boolean);
+    EXPECT_EQ(done.field("error")->field("code")->text,
+              svc::errc::kBadRequest);
     // No dealt point may leak into the pending gauge after a failure.
-    EXPECT_EQ(handler.pendingPoints(), 0);
+    EXPECT_EQ(service.pendingPoints(), 0);
 }
 
-TEST(WorkerHandler, NonFabricLinesFallThrough)
+TEST(FabricWorker, OtherKindsAnswerUnknownKindAndEverythingElseIsARequest)
 {
     svc::SimService service;
-    WorkerHandler handler(service);
-    std::string finalLine;
-    auto chunk = [](std::string) {};
-    // A plain SimRequest and plain garbage both belong to the strict
-    // SimRequest path, not the fabric.
-    EXPECT_FALSE(handler.handle(tinyRequest().toJson(), chunk,
-                                finalLine));
-    EXPECT_FALSE(handler.handle("not json at all", chunk, finalLine));
-    // An unknown kind IS a fabric message — answered with an error
-    // line instead of falling through.
-    ASSERT_TRUE(handler.handle("{\"kind\":\"frobnicate\"}", chunk,
-                               finalLine));
-    EXPECT_EQ(kindOf(mustParse(finalLine)), "error");
+    const std::vector<std::string> out =
+        answer(service, { "{\"kind\":\"frobnicate\",\"id\":\"f\"}",
+                          "not json at all", tinyRequest().toJson() });
+    ASSERT_EQ(out.size(), 3u);
+    // An unknown kind is a fabric message, answered with an error line.
+    const svc::JsonValue unknown = mustParse(out[0]);
+    EXPECT_EQ(kindOf(unknown), "error");
+    EXPECT_EQ(unknown.field("id")->text, "f");
+    EXPECT_EQ(unknown.field("error")->field("code")->text, "unknown_kind");
+    // Garbage and plain requests belong to the strict SimRequest path.
+    EXPECT_NE(out[1].find("\"code\":\"bad_request\""), std::string::npos)
+        << out[1];
+    EXPECT_EQ(kindOf(mustParse(out[2])), "");
+    EXPECT_NE(out[2].find("\"ok\":true"), std::string::npos) << out[2];
 }
 
 // ---------------------------------------------------------------------
-// Sequencer chunk streaming
+// Sequencer row streaming
 // ---------------------------------------------------------------------
 
 TEST(SequencerChunks, ChunksPrecedeTheirFinalAndNeverReorderOthers)
 {
     std::vector<std::string> out;
-    std::mutex outMutex;
     svc::ResponseSequencer::Config cfg;
     cfg.parallel = 4;
-    cfg.submit = [](const svc::SimRequest &req) {
-        return svc::SimResponse::failure(req.id, svc::errc::kBadRequest,
-                                         "plain");
-    };
-    cfg.rawSubmit = [](const std::string &line,
-                       const std::function<void(std::string)> &chunk,
-                       std::string &finalLine) {
-        if (line.rfind("chunky:", 0) != 0)
-            return false;
-        for (int i = 0; i < 3; ++i)
-            chunk(strfmt("%s.c%d", line.c_str(), i));
-        finalLine = line + ".done";
-        return true;
+    // A streamed request gets three rows, then its final response; a
+    // buffered one just the response.
+    cfg.submit = [](const svc::SimRequest &req,
+                    const svc::SimService::RowFn &onRow) {
+        if (req.stream) {
+            for (int i = 0; i < 3; ++i) {
+                driver::PlannedPoint p;
+                p.key = strfmt("%s.k%d", req.id.c_str(), i);
+                driver::ResultRow row;
+                row.id = p.key;
+                onRow(p, row);
+            }
+        }
+        svc::SimResponse resp;
+        resp.id = req.id;
+        resp.ok = true;
+        return resp;
     };
     cfg.emit = [&](const std::string &line) {
-        std::lock_guard<std::mutex> lock(outMutex);
-        out.push_back(line);
+        out.push_back(line);    // the one emitter thread
         return true;
+    };
+    auto request = [](const std::string &id, bool stream) {
+        svc::SimRequest req;
+        req.id = id;
+        req.stream = stream;
+        return req.toJson();
     };
     {
         svc::ResponseSequencer seq(cfg);
-        seq.push("chunky:a");
-        seq.push("{\"schemaVersion\":1,\"id\":\"r1\",\"bench\":\"x\"}");
-        seq.push("chunky:b");
+        seq.push(request("a", true));
+        seq.push(request("r1", false));
+        seq.push(request("b", true));
         seq.finish();
     }
     ASSERT_EQ(out.size(), 9u);
-    // Slot order is strict: all of a's chunks, a's final, the plain
-    // response, then b's chunks and final.
-    EXPECT_EQ(out[0], "chunky:a.c0");
-    EXPECT_EQ(out[1], "chunky:a.c1");
-    EXPECT_EQ(out[2], "chunky:a.c2");
-    EXPECT_EQ(out[3], "chunky:a.done");
-    EXPECT_NE(out[4].find("\"r1\""), std::string::npos) << out[4];
-    EXPECT_EQ(out[5], "chunky:b.c0");
-    EXPECT_EQ(out[8], "chunky:b.done");
+    // Slot order is strict: all of a's rows, a's final, the plain
+    // response, then b's rows and final.
+    auto keyOf = [](const std::string &line) {
+        const svc::JsonValue doc = mustParse(line);
+        const svc::JsonValue *key = doc.field("key");
+        return key ? key->text : "final:" + doc.field("id")->text;
+    };
+    EXPECT_EQ(keyOf(out[0]), "a.k0");
+    EXPECT_EQ(keyOf(out[1]), "a.k1");
+    EXPECT_EQ(keyOf(out[2]), "a.k2");
+    EXPECT_EQ(keyOf(out[3]), "final:a");
+    EXPECT_EQ(keyOf(out[4]), "final:r1");
+    EXPECT_EQ(keyOf(out[5]), "b.k0");
+    EXPECT_EQ(keyOf(out[8]), "final:b");
 }
 
 } // namespace

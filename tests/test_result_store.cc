@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <climits>
 #include <cmath>
@@ -21,6 +22,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -879,6 +881,55 @@ TEST(RunPlanIntegration, ShardedStoresMergeToUnshardedOutput)
         EXPECT_EQ(reference.rows()[i].headline,
                   recombined.rows()[i].headline);
     }
+}
+
+TEST(RunPlanIntegration, JoinedRowsAppendOncePerSharedStore)
+{
+    // Two requests plan one sweep against a shared store and a third
+    // against its own, then all run at once: whichever simulates a
+    // point, the others get its row as a join or a row-cache replay.
+    // The shared file must hold each key once; the private store must
+    // still receive every row it was handed.
+    const std::string sharedDir = "test_result_store.shared";
+    const std::string privateDir = "test_result_store.private";
+    wipeStoreDir(sharedDir);
+    wipeStoreDir(privateDir);
+    ResultStore shared, priv;
+    ASSERT_TRUE(shared.openDir(sharedDir));
+    ASSERT_TRUE(priv.openDir(privateDir));
+
+    PointScheduler sched(PointScheduler::Config { 1, 64 });
+    const std::vector<ExperimentSpec> specs = integrationGrid().expand(3);
+    const RunPlan a = planSweep(specs, tinyRepo(), &shared);
+    const RunPlan b = planSweep(specs, tinyRepo(), &shared);
+    const RunPlan c = planSweep(specs, tinyRepo(), &priv);
+    ASSERT_EQ(a.simulateCount(), specs.size());
+    std::vector<std::thread> requests;
+    for (auto [plan, store] : { std::make_pair(&a, &shared),
+                                std::make_pair(&b, &shared),
+                                std::make_pair(&c, &priv) }) {
+        requests.emplace_back([&sched, plan = plan, store = store] {
+            ExperimentRunner(tinyRepo(), sched).run(*plan, store);
+        });
+    }
+    for (std::thread &t : requests)
+        t.join();
+
+    // Every point ran once; the other two requests joined or replayed.
+    const PointScheduler::Counters counters = sched.counters();
+    EXPECT_EQ(counters.pointsSimulated, specs.size());
+    EXPECT_EQ(counters.pointsDeduped + counters.memCacheHits,
+              2 * specs.size());
+    auto lines = [](const std::string &dir) {
+        const std::string text =
+            readWhole(dir + "/" + ResultStore::kFileName);
+        return static_cast<size_t>(
+            std::count(text.begin(), text.end(), '\n'));
+    };
+    EXPECT_EQ(lines(sharedDir), specs.size());
+    EXPECT_EQ(lines(privateDir), specs.size());
+    EXPECT_EQ(shared.size(), specs.size());
+    EXPECT_EQ(priv.size(), specs.size());
 }
 
 } // namespace

@@ -41,7 +41,7 @@ namespace
 
 /** A submit hook that echoes ok responses without simulating. */
 SimResponse
-echoSubmit(const SimRequest &req)
+echoSubmit(const SimRequest &req, const SimService::RowFn & = nullptr)
 {
     SimResponse resp;
     resp.id = req.id;
@@ -61,7 +61,8 @@ TEST(Sequencer, EmitsInInputOrderDespiteOutOfOrderCompletion)
 {
     std::vector<std::string> out;
     ResponseSequencer::Config cfg;
-    cfg.submit = [](const SimRequest &req) {
+    cfg.submit = [](const SimRequest &req,
+                    const SimService::RowFn &) {
         // The first request finishes last: emission order must still
         // be input order.
         if (req.id == "slow")
@@ -105,10 +106,12 @@ TEST(Sequencer, MalformedLineSalvagesIdAndBlankLinesSkip)
     seq.push("");
     seq.push("{\"id\":\"lost-req\", this is not json");
     seq.push("");
+    // Version 1's retired knob is still validated on the wire.
+    seq.push("{\"schemaVersion\":1,\"id\":\"b0\",\"batch\":0}");
     seq.finish();
 
-    ASSERT_EQ(out.size(), 2u);  // blank lines produce no slots
-    EXPECT_EQ(seq.accepted(), 2u);
+    ASSERT_EQ(out.size(), 3u);  // blank lines produce no slots
+    EXPECT_EQ(seq.accepted(), 3u);
     EXPECT_NE(out[0].find("\"id\":\"good\""), std::string::npos);
     // The bad_request response echoes the salvaged id and the
     // transport's client tag, so the client can correlate it.
@@ -116,6 +119,9 @@ TEST(Sequencer, MalformedLineSalvagesIdAndBlankLinesSkip)
     EXPECT_NE(out[1].find("\"ok\":false"), std::string::npos);
     EXPECT_NE(out[1].find("\"code\":\"bad_request\""), std::string::npos);
     EXPECT_NE(out[1].find("\"client\":\"c9\""), std::string::npos);
+    EXPECT_NE(out[2].find("\"id\":\"b0\""), std::string::npos);
+    EXPECT_NE(out[2].find("\"code\":\"bad_request\""), std::string::npos);
+    EXPECT_NE(out[2].find("bad batch 0"), std::string::npos) << out[2];
 }
 
 TEST(Sequencer, ShedsWithOverloadedWhenQueueFull)
@@ -130,7 +136,8 @@ TEST(Sequencer, ShedsWithOverloadedWhenQueueFull)
 
     std::vector<std::string> out;
     ResponseSequencer::Config cfg;
-    cfg.submit = [&](const SimRequest &req) {
+    cfg.submit = [&](const SimRequest &req,
+                     const SimService::RowFn &) {
         entered.fetch_add(1);
         std::unique_lock<std::mutex> lock(m);
         cv.wait(lock, [&] { return release; });
@@ -176,7 +183,8 @@ TEST(Sequencer, WriteFailureDrainsWithoutSimulating)
     // pipeline; everything after must drain unexecuted.
     std::atomic<int> executed{ 0 };
     ResponseSequencer::Config cfg;
-    cfg.submit = [&](const SimRequest &req) {
+    cfg.submit = [&](const SimRequest &req,
+                     const SimService::RowFn &) {
         executed.fetch_add(1);
         // Slow enough that the emitter's failure lands before the
         // pipeline can race far ahead.

@@ -183,8 +183,9 @@ TEST(SimRequest, JsonRoundTrips)
     req.seed = 42;
     req.shardIndex = 2;
     req.shardCount = 3;
-    req.batch = 4;
     req.cacheDir = "/tmp/momsim \"cache\"";
+    req.points = { "paper/mmx/t1/perfect/rr", "paper/mom/t8/decoupled/icount" };
+    req.stream = true;
 
     SimRequest back;
     std::string error;
@@ -198,10 +199,18 @@ TEST(SimRequest, JsonRoundTrips)
     EXPECT_EQ(back.seed, req.seed);
     EXPECT_EQ(back.shardIndex, req.shardIndex);
     EXPECT_EQ(back.shardCount, req.shardCount);
-    EXPECT_EQ(back.batch, req.batch);
     EXPECT_EQ(back.cacheDir, req.cacheDir);
-    // Re-serialization is stable (fixed field order).
+    EXPECT_EQ(back.points, req.points);
+    EXPECT_EQ(back.stream, req.stream);
+    // Re-serialization is stable (fixed field order) and current.
     EXPECT_EQ(back.toJson(), req.toJson());
+    EXPECT_EQ(req.toJson().rfind(strfmt("{\"schemaVersion\":%d,",
+                                        kSimRequestSchemaVersion),
+                                 0),
+              0u);
+    // Unset, points and stream stay off the wire.
+    EXPECT_EQ(SimRequest().toJson().find("points"), std::string::npos);
+    EXPECT_EQ(SimRequest().toJson().find("stream"), std::string::npos);
 
     // The axes variant round-trips too.
     SimRequest axes;
@@ -243,6 +252,60 @@ TEST(SimRequest, RejectsUnknownFieldsAndForeignVersions)
         "{\"schemaVersion\":1,\"maxCycles\":-5}", out, error));
     EXPECT_FALSE(SimRequest::fromJson("[]", out, error));
     EXPECT_FALSE(SimRequest::fromJson("not json", out, error));
+}
+
+TEST(SimRequest, VersionOneKeepsItsRetiredBatchKnob)
+{
+    SimRequest out;
+    std::string error;
+    const std::string v1 = "{\"schemaVersion\":1,\"id\":\"b\","
+                           "\"bench\":\"fig6\",\"quick\":true";
+
+    // Accepted and ignored: the same request as without it.
+    ASSERT_TRUE(SimRequest::fromJson(v1 + ",\"batch\":3}", out, error))
+        << error;
+    SimRequest plain;
+    ASSERT_TRUE(SimRequest::fromJson(v1 + "}", plain, error)) << error;
+    EXPECT_EQ(out.toJson(), plain.toJson());
+
+    // Below 1 (or not an integer) it is still an error naming it,
+    // which the transport answers as a bad_request.
+    for (const char *bad : { "0", "-2", "\"3\"" }) {
+        error.clear();
+        EXPECT_FALSE(SimRequest::fromJson(
+            v1 + ",\"batch\":" + bad + "}", out, error))
+            << bad;
+        EXPECT_NE(error.find("batch"), std::string::npos) << error;
+    }
+}
+
+TEST(SimRequest, FieldsBelongToTheirVersion)
+{
+    SimRequest out;
+    std::string error;
+    // Version 2 dropped batch...
+    EXPECT_FALSE(SimRequest::fromJson(
+        "{\"schemaVersion\":2,\"bench\":\"fig6\",\"batch\":1}", out,
+        error));
+    EXPECT_NE(error.find("unknown field \"batch\""), std::string::npos)
+        << error;
+    // ...and version 1 never had points or stream.
+    EXPECT_FALSE(SimRequest::fromJson(
+        "{\"schemaVersion\":1,\"points\":[\"paper/mmx/t1/perfect/rr\"]}",
+        out, error));
+    EXPECT_NE(error.find("unknown field \"points\""), std::string::npos)
+        << error;
+    EXPECT_FALSE(SimRequest::fromJson(
+        "{\"schemaVersion\":1,\"stream\":true}", out, error));
+    EXPECT_NE(error.find("unknown field \"stream\""), std::string::npos)
+        << error;
+    // Types are strict in version 2 as well.
+    EXPECT_FALSE(SimRequest::fromJson(
+        "{\"schemaVersion\":2,\"stream\":1}", out, error));
+    EXPECT_FALSE(SimRequest::fromJson(
+        "{\"schemaVersion\":2,\"points\":[1]}", out, error));
+    EXPECT_FALSE(SimRequest::fromJson(
+        "{\"schemaVersion\":0,\"bench\":\"fig6\"}", out, error));
 }
 
 // ---------------------------------------------------------------------
@@ -429,36 +492,6 @@ TEST(SimService, ExecutesExplicitAxesDeterministically)
         row.run.wallMs = 0.0;
     }
     EXPECT_EQ(resp.toJson(false), zeroed.toJson(true));
-}
-
-TEST(SimService, BatchKnobValidatesAndNeverChangesRows)
-{
-    SimService service;
-
-    // batch < 1 is a structured error, not a panic.
-    SimRequest bad = tinyRequest("b0");
-    bad.batch = 0;
-    SimResponse resp = service.submit(bad);
-    EXPECT_FALSE(resp.ok);
-    EXPECT_EQ(resp.errorCode, errc::kBadRequest);
-    EXPECT_NE(resp.errorMessage.find("batch"), std::string::npos);
-
-    // The field is retired: schemaVersion 1 still carries it, but
-    // execution ignores it, so rows match the default submit (modulo
-    // timing fields).
-    SimResponse plain = service.submit(tinyRequest("b1"));
-    ASSERT_TRUE(plain.ok) << plain.errorMessage;
-    SimRequest batched = tinyRequest("b1");
-    batched.batch = 3;
-    SimResponse interleaved = service.submit(batched);
-    ASSERT_TRUE(interleaved.ok) << interleaved.errorMessage;
-    EXPECT_EQ(interleaved.toJson(false), plain.toJson(false));
-
-    // On the wire the field is optional (default omitted), so older
-    // readers of schemaVersion 1 never see it.
-    EXPECT_EQ(tinyRequest("b1").toJson().find("\"batch\""),
-              std::string::npos);
-    EXPECT_NE(batched.toJson().find("\"batch\":3"), std::string::npos);
 }
 
 TEST(SimService, ConcurrentSubmitsMatchSerialByteForByte)
