@@ -2,12 +2,11 @@
 # traffic-serving entry point:
 #
 #  (a) a stream of requests — two sweeps plus two malformed/invalid
-#      ones — executed with 4 concurrent submitter threads produces one
-#      response line per request, each tagged with the request's id, in
-#      input order;
+#      ones — executed concurrently produces one response line per
+#      request, each tagged with the request's id, in input order;
 #  (b) running the identical stream twice under --no-timing is
-#      byte-identical (responses depend on requests, never on submitter
-#      interleaving);
+#      byte-identical (responses depend on requests, never on how
+#      their completions interleave);
 #  (c) error requests come back as structured ok:false responses in
 #      their slot instead of killing the stream.
 #
@@ -36,7 +35,7 @@ this is not json
 
 foreach(run 1 2)
   execute_process(
-    COMMAND ${MOMSIM} batch --parallel 4 --no-timing
+    COMMAND ${MOMSIM} batch --no-timing
     INPUT_FILE ${dir}/requests.jsonl
     OUTPUT_FILE ${dir}/run${run}.out
     ERROR_FILE ${dir}/run${run}.err

@@ -5,11 +5,10 @@
 #      (the reader pushes the last partial line at EOF);
 #  (b) blank lines are skipped, not answered — response count equals
 #      request count, not line count;
-#  (c) a stream much deeper than the admission queue (backpressure:
-#      ~40 requests against --parallel 1's small bound) completes with
-#      every response present, in input order;
-#  (d) --parallel far above the request count is harmless;
-#  (e) all of the above are byte-identical across two runs.
+#  (c) a stream much deeper than the admission bound (backpressure:
+#      40 requests against the default bound of 14 unanswered ones)
+#      completes with every response present, in input order;
+#  (d) all of the above are byte-identical across two runs.
 #
 # Usage: cmake -DMOMSIM=<path> -DWORKDIR=<dir> -P BatchEdgeCases.cmake
 
@@ -32,7 +31,7 @@ file(WRITE ${dir}/framing.jsonl "\n${req1}\n\n\n${req2}")
 
 foreach(run 1 2)
   execute_process(
-    COMMAND ${MOMSIM} batch --parallel 2 --no-timing
+    COMMAND ${MOMSIM} batch --no-timing
     INPUT_FILE ${dir}/framing.jsonl
     OUTPUT_FILE ${dir}/framing${run}.out
     ERROR_FILE ${dir}/framing${run}.err
@@ -73,7 +72,7 @@ if(NOT same EQUAL 0)
   message(FATAL_ERROR "batch framing: two runs differ")
 endif()
 
-# ---- (c): stream deeper than the --parallel 1 admission queue ----
+# ---- (c): stream deeper than the admission bound ----
 set(stream "")
 set(n 40)
 math(EXPR last "${n} - 1")
@@ -83,7 +82,7 @@ endforeach()
 file(WRITE ${dir}/deep.jsonl "${stream}")
 
 execute_process(
-  COMMAND ${MOMSIM} batch --parallel 1 --no-timing
+  COMMAND ${MOMSIM} batch --no-timing
   INPUT_FILE ${dir}/deep.jsonl
   OUTPUT_FILE ${dir}/deep.out
   ERROR_FILE ${dir}/deep.err
@@ -109,31 +108,6 @@ foreach(line IN LISTS deep_lines)
   math(EXPR i "${i} + 1")
 endforeach()
 
-# ---- (d): --parallel 16 against a 2-request stream ----
-file(WRITE ${dir}/wide.jsonl "${req1}\n${req2}\n")
-execute_process(
-  COMMAND ${MOMSIM} batch --parallel 16 --no-timing
-  INPUT_FILE ${dir}/wide.jsonl
-  OUTPUT_FILE ${dir}/wide.out
-  ERROR_FILE ${dir}/wide.err
-  RESULT_VARIABLE rc
-)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "batch wide run exited with ${rc} "
-                      "(see ${dir}/wide.err)")
-endif()
-# Same two requests as the framing stream => byte-identical responses.
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-          ${dir}/wide.out ${dir}/framing1.out
-  RESULT_VARIABLE same
-)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR
-          "batch: --parallel 16 responses differ from --parallel 2 "
-          "(${dir}/wide.out vs ${dir}/framing1.out)")
-endif()
-
 message(STATUS
         "batch_edge_cases: unterminated final line, blank-line "
-        "skipping, 40-deep backpressure in order, parallel > requests")
+        "skipping, 40-deep backpressure in order")

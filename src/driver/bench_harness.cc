@@ -404,7 +404,7 @@ BenchHarness::run(const SweepGrid &grid)
 
     // Grids that pin their own workload axis (the mix-sensitivity
     // bench) win; everything else sweeps the --workload selection.
-    // applyRunSelection is shared with SimService::submit, so the CLI
+    // applyRunSelection is shared with SimService::start, so the CLI
     // and the service agree on these key-affecting folds by
     // construction.
     SweepGrid g = grid;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <memory>
 
 #include "common/logging.hh"
@@ -212,21 +213,34 @@ ExperimentRunner::runOne(const ExperimentSpec &spec) const
     return row;
 }
 
-ResultSink
-ExperimentRunner::run(const RunPlan &plan, ResultStore *store,
-                      const RowFn &onRow)
+void
+ExperimentRunner::start(RunPlan plan, ResultStore *store, RowFn onRow,
+                        DoneFn done, PointScheduler::Lane lane)
 {
+    // Everything the deliveries and the completion touch lives here,
+    // owned by the scheduler's request until the completion ran.
+    struct Run
+    {
+        RunPlan plan;
+        std::vector<size_t> todo;       ///< slot -> plan index
+        std::vector<ResultRow> fresh;   ///< plan index -> delivered row
+        momsim::Mutex mutex;
+    };
+    auto run = std::make_shared<Run>();
+    run->plan = std::move(plan);
+    const RunPlan &p = run->plan;
+
     // This shard's misses, heaviest first; the stable sort keeps equal
     // costs in sweep order, so the add() order is deterministic.
-    std::vector<size_t> todo;
-    for (size_t i = 0; i < plan.points.size(); ++i) {
-        const PlannedPoint &p = plan.points[i];
-        if (p.shard == plan.shardIndex && !p.cached)
-            todo.push_back(i);
+    for (size_t i = 0; i < p.points.size(); ++i) {
+        if (p.points[i].shard == p.shardIndex && !p.points[i].cached)
+            run->todo.push_back(i);
     }
-    std::stable_sort(todo.begin(), todo.end(), [&plan](size_t a, size_t b) {
-        return plan.points[a].cost > plan.points[b].cost;
-    });
+    std::stable_sort(run->todo.begin(), run->todo.end(),
+                     [&p](size_t a, size_t b) {
+                         return p.points[a].cost > p.points[b].cost;
+                     });
+    run->fresh.resize(p.points.size());
 
     // Deliveries run on scheduler workers (several rows of this
     // request may complete concurrently) — one mutex preserves the
@@ -236,42 +250,65 @@ ExperimentRunner::run(const RunPlan &plan, ResultStore *store,
     // a request-private --cache-dir still ends up complete; a store
     // shared with the request that simulated the row already holds
     // it, and putIfAbsent appends it only once.
-    std::vector<ResultRow> fresh(plan.points.size());
-    momsim::Mutex deliverMutex;
     PointScheduler::Request request(
         _sched,
-        [this](const std::vector<const ExperimentSpec *> &specs) {
+        [runner = *this](const std::vector<const ExperimentSpec *> &specs) {
             std::vector<ResultRow> rows;
             for (const ExperimentSpec *spec : specs)
-                rows.push_back(runOne(*spec));
+                rows.push_back(runner.runOne(*spec));
             return rows;
         },
-        [&](size_t slot, const ResultRow &row) {
-            const size_t i = todo[slot];
-            MutexLock lock(deliverMutex);
+        [run, store, onRow = std::move(onRow)](size_t slot,
+                                               const ResultRow &row) {
+            const size_t i = run->todo[slot];
+            MutexLock lock(run->mutex);
             if (store)
-                store->putIfAbsent(plan.points[i].key, row);
+                store->putIfAbsent(run->plan.points[i].key, row);
             if (onRow)
-                onRow(plan.points[i], row);
-            fresh[i] = row;
-        });
-    for (size_t i : todo)
-        request.add(plan.points[i].spec, plan.points[i].key);
-    request.wait();
+                onRow(run->plan.points[i], row);
+            run->fresh[i] = row;
+        },
+        [run, done = std::move(done)](const std::exception_ptr &error) {
+            if (error) {
+                done(ResultSink {}, error);
+                return;
+            }
+            // Splice in sweep order: cached rows verbatim, fresh rows
+            // as delivered.
+            ResultSink sink;
+            for (size_t i = 0; i < run->plan.points.size(); ++i) {
+                const PlannedPoint &pt = run->plan.points[i];
+                if (pt.shard != run->plan.shardIndex)
+                    continue;
+                if (pt.cached)
+                    sink.append(pt.row);
+                else
+                    sink.append(std::move(run->fresh[i]));
+            }
+            done(std::move(sink), nullptr);
+        },
+        std::move(lane));
+    for (size_t i : run->todo)
+        request.add(p.points[i].spec, p.points[i].key);
+    request.close();
+}
 
-    // Splice in sweep order: cached rows verbatim, fresh rows as
-    // delivered.
-    ResultSink sink;
-    for (size_t i = 0; i < plan.points.size(); ++i) {
-        const PlannedPoint &p = plan.points[i];
-        if (p.shard != plan.shardIndex)
-            continue;
-        if (p.cached)
-            sink.append(p.row);
-        else
-            sink.append(std::move(fresh[i]));
-    }
-    return sink;
+ResultSink
+ExperimentRunner::run(const RunPlan &plan, ResultStore *store,
+                      const RowFn &onRow)
+{
+    // The completion owns the promise, so it outlives the set_value()
+    // this thread wakes on.
+    auto result = std::make_shared<std::promise<ResultSink>>();
+    std::future<ResultSink> sink = result->get_future();
+    start(plan, store, onRow,
+          [result](ResultSink done, const std::exception_ptr &error) {
+              if (error)
+                  result->set_exception(error);
+              else
+                  result->set_value(std::move(done));
+          });
+    return sink.get();
 }
 
 } // namespace momsim::driver

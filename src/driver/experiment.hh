@@ -28,11 +28,13 @@
 #define MOMSIM_DRIVER_EXPERIMENT_HH
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "cpu/core_config.hh"
+#include "driver/point_scheduler.hh"
 #include "driver/result_sink.hh"
 #include "mem/hierarchy.hh"
 #include "workloads/workload_repo.hh"
@@ -40,7 +42,6 @@
 namespace momsim::driver
 {
 
-class PointScheduler;
 class ResultStore;
 struct PlannedPoint;
 struct RunPlan;
@@ -160,21 +161,28 @@ class ExperimentRunner
     {}
 
     /**
-     * Per-completion callback of run(): fired once per non-disk-cached
-     * row, serialized (under the same lock as store puts) but in
-     * completion order, not sweep order. A streamed SimRequest writes
-     * its rows out from here.
+     * Per-completion callback of start(): fired once per non-disk-
+     * cached row, serialized (under the same lock as store puts) but
+     * in completion order, not sweep order. A streamed SimRequest
+     * writes its rows out from here.
      */
     using RowFn =
         std::function<void(const PlannedPoint &, const ResultRow &)>;
 
+    /** start()'s completion: the sink, or the first exec failure. */
+    using DoneFn =
+        std::function<void(ResultSink sink, std::exception_ptr error)>;
+
     /**
-     * Execute a RunPlan (see result_store.hh): simulate only this
-     * shard's cache misses, splice cached rows back in sweep order,
-     * and persist every row the scheduler delivers to @p store when
-     * given — the moment it completes, so an interrupted multi-hour
-     * run resumes from its last completed point. The sink holds
-     * exactly this shard's points.
+     * Start a RunPlan (see result_store.hh) and return: simulate only
+     * this shard's cache misses on @p lane, splice cached rows back in
+     * sweep order, and persist every row the scheduler delivers to
+     * @p store when given — the moment it completes, so an interrupted
+     * multi-hour run resumes from its last completed point. @p done
+     * gets a sink holding exactly this shard's points, on the thread
+     * that finished the run: a scheduler worker, or the caller before
+     * start() returns when nothing needed simulating. @p store must
+     * outlive @p done's call.
      *
      * Rows another request simulated (singleflight joins) and memory-
      * cache replays flow through the same path, so @p store still ends
@@ -187,6 +195,11 @@ class ExperimentRunner
      * (planSweep's fingerprinting already built every workload the
      * specs name).
      */
+    void start(RunPlan plan, ResultStore *store, RowFn onRow, DoneFn done,
+               PointScheduler::Lane lane = nullptr);
+
+    /** start() on a lane of its own, then wait for the sink; rethrows
+     *  an exec failure. */
     ResultSink run(const RunPlan &plan, ResultStore *store = nullptr,
                    const RowFn &onRow = nullptr);
 
@@ -216,7 +229,7 @@ class ExperimentRunner
  * cap — which lands in every spec's maxCycles and therefore in the
  * result-store keys, so rows cached under one limit never replay under
  * another. Shared by BenchHarness::run (the CLI) and
- * svc::SimService::submit (the service) so the two paths cannot drift
+ * svc::SimService::start (the service) so the two paths cannot drift
  * on key-affecting semantics.
  */
 void applyRunSelection(SweepGrid &grid,

@@ -15,12 +15,15 @@
 namespace momsim::driver
 {
 
+struct PointRequestState;
+
 namespace
 {
 
 /** One scheduled-but-unfinished point of a request. */
 struct PendingPoint
 {
+    std::shared_ptr<PointRequestState> req;
     const ExperimentSpec *spec = nullptr;
     std::string key;
     size_t slot = 0;
@@ -29,25 +32,37 @@ struct PendingPoint
 } // namespace
 
 /**
- * Mutable request fields (nextSlot, queue, undelivered, error) are
+ * Mutable request fields (nextSlot, undelivered, closed, error) are
  * guarded by the owning PointSchedulerState's mutex. That guard is not
  * expressible as a GUARDED_BY here — the capability lives on another
  * object — so the scheduler's REQUIRES-annotated sections are where
- * the analysis enforces it; exec/deliver are set once at registration
- * and immutable after.
+ * the analysis enforces it; exec/deliver/done/lane are set once at
+ * registration and immutable after.
  */
 struct PointRequestState
 {
     PointScheduler::ExecFn exec;
     PointScheduler::DeliverFn deliver;
+    PointScheduler::DoneFn done;
+    PointScheduler::Lane lane;
     size_t nextSlot = 0;
 
-    /** Points awaiting a worker, in add() order. */
-    std::deque<PendingPoint> queue;
     /** Points added but not yet delivered or failed. */
     size_t undelivered = 0;
-    /** First execution failure; rethrown from wait(). */
+    /** The owner added its last point. */
+    bool closed = false;
+    /** First execution failure; handed to the completion. */
     std::exception_ptr error;
+};
+
+/** A FIFO of queued points; guarded like PointRequestState. */
+struct PointLaneState
+{
+    /** Points awaiting a worker, in add() order. */
+    std::deque<PendingPoint> queue;
+    /** Requests registered on the lane and not yet completed; the
+     *  lane is in the rotation while this is nonzero. */
+    size_t live = 0;
 };
 
 struct PointSchedulerState
@@ -65,10 +80,9 @@ struct PointSchedulerState
 
     Mutex mutex;
     CondVar workCv;                     ///< workers: "a point is queued"
-    CondVar doneCv;                     ///< requests: "a delivery landed"
 
-    std::vector<std::shared_ptr<PointRequestState>> active
-        GUARDED_BY(mutex);
+    /** The rotation: every lane with a live request. */
+    std::vector<PointScheduler::Lane> active GUARDED_BY(mutex);
     size_t cursor GUARDED_BY(mutex) = 0;    ///< round-robin position
 
     std::unordered_map<std::string, Inflight> inflight GUARDED_BY(mutex);
@@ -87,11 +101,32 @@ struct PointSchedulerState
 
     bool anyQueuedLocked() const REQUIRES(mutex)
     {
-        for (const auto &req : active) {
-            if (!req->queue.empty())
+        for (const auto &lane : active) {
+            if (!lane->queue.empty())
                 return true;
         }
         return false;
+    }
+
+    /** @p req is closed and fully delivered: it leaves the rotation
+     *  and joins @p finished, whose completions the caller runs
+     *  outside the lock. */
+    void finishLocked(const std::shared_ptr<PointRequestState> &req,
+                      std::vector<std::shared_ptr<PointRequestState>> &finished)
+        REQUIRES(mutex)
+    {
+        counters.activeRequests -= 1;
+        finished.push_back(req);
+        if (--req->lane->live != 0)
+            return;
+        // Leave the rotation without skipping anyone: removing an entry
+        // before the cursor shifts the lane it names down one slot.
+        const auto pos = std::find(active.begin(), active.end(), req->lane);
+        if (static_cast<size_t>(pos - active.begin()) < cursor)
+            cursor -= 1;
+        active.erase(pos);
+        if (cursor >= active.size())
+            cursor = 0;
     }
 
     bool lruFindLocked(const std::string &key, ResultRow &out)
@@ -173,17 +208,26 @@ PointScheduler::noteDiskCacheHits(uint64_t n)
     _state->counters.diskCacheHits += n;
 }
 
+PointScheduler::Lane
+PointScheduler::newLane() const
+{
+    return std::make_shared<PointLaneState>();
+}
+
 std::shared_ptr<PointRequestState>
-PointScheduler::registerRequest(ExecFn exec, DeliverFn deliver)
+PointScheduler::registerRequest(ExecFn exec, DeliverFn deliver, DoneFn done,
+                                Lane lane)
 {
     auto req = std::make_shared<PointRequestState>();
     req->exec = std::move(exec);
     req->deliver = std::move(deliver);
+    req->done = std::move(done);
+    req->lane = lane ? std::move(lane) : newLane();
     MutexLock lock(_state->mutex);
-    _state->active.push_back(req);
+    if (req->lane->live++ == 0)
+        _state->active.push_back(req->lane);
     _state->counters.requestsStarted += 1;
-    _state->counters.activeRequests =
-        static_cast<int>(_state->active.size());
+    _state->counters.activeRequests += 1;
     return req;
 }
 
@@ -213,7 +257,7 @@ PointScheduler::addPoint(const std::shared_ptr<PointRequestState> &req,
         } else {
             _state->inflight.emplace(key,
                                      PointSchedulerState::Inflight {});
-            req->queue.push_back(PendingPoint { &spec, key, slot });
+            req->lane->queue.push_back(PendingPoint { req, &spec, key, slot });
             req->undelivered += 1;
             _state->workCv.notify_one();
             return;
@@ -223,28 +267,17 @@ PointScheduler::addPoint(const std::shared_ptr<PointRequestState> &req,
 }
 
 void
-PointScheduler::waitRequest(const std::shared_ptr<PointRequestState> &req)
+PointScheduler::closeRequest(const std::shared_ptr<PointRequestState> &req)
 {
-    MutexLock lock(_state->mutex);
-    while (req->undelivered != 0)
-        _state->doneCv.wait(_state->mutex);
-
-    // Leave the rotation without skipping anyone: removing an entry
-    // before the cursor shifts the request it names down one slot.
-    auto &active = _state->active;
-    const auto pos = std::find(active.begin(), active.end(), req);
-    if (static_cast<size_t>(pos - active.begin()) < _state->cursor)
-        _state->cursor -= 1;
-    active.erase(pos);
-    if (_state->cursor >= active.size())
-        _state->cursor = 0;
-    _state->counters.activeRequests = static_cast<int>(active.size());
-
-    std::exception_ptr error = req->error;
-    req->error = nullptr;
-    lock.unlock();
-    if (error)
-        std::rethrow_exception(error);
+    std::vector<std::shared_ptr<PointRequestState>> finished;
+    {
+        MutexLock lock(_state->mutex);
+        req->closed = true;
+        if (req->undelivered == 0)
+            _state->finishLocked(req, finished);
+    }
+    for (const auto &done : finished)
+        done->done(done->error);
 }
 
 void
@@ -258,31 +291,30 @@ PointScheduler::workerLoop()
         if (s.stop)
             return;
 
-        // Fair dispatch: scan the active requests round-robin from the
+        // Fair dispatch: scan the active lanes round-robin from the
         // rotating cursor and take ONE point from the first that has
-        // work — so every active request gets a worker within one
-        // rotation, regardless of how deep any single request's queue
-        // is.
-        std::shared_ptr<PointRequestState> req;
+        // work — so every active lane gets a worker within one
+        // rotation, regardless of how deep any single lane's queue is.
+        PointLaneState *lane = nullptr;
         const size_t n = s.active.size();
         for (size_t i = 0; i < n; ++i) {
-            auto &cand = s.active[(s.cursor + i) % n];
+            PointLaneState *cand = s.active[(s.cursor + i) % n].get();
             if (!cand->queue.empty()) {
-                req = cand;
+                lane = cand;
                 s.cursor = (s.cursor + i + 1) % n;
                 break;
             }
         }
-        if (!req)
+        if (!lane)
             continue;       // raced another worker; re-wait
-        PendingPoint point = std::move(req->queue.front());
-        req->queue.pop_front();
+        PendingPoint point = std::move(lane->queue.front());
+        lane->queue.pop_front();
         lock.unlock();
 
         ResultRow row;
         std::exception_ptr error;
         try {
-            std::vector<ResultRow> rows = req->exec({ point.spec });
+            std::vector<ResultRow> rows = point.req->exec({ point.spec });
             if (rows.size() != 1)
                 throw std::runtime_error(
                     "point scheduler: exec returned wrong row count");
@@ -300,54 +332,74 @@ PointScheduler::workerLoop()
                       "executed point missing from inflight map");
         std::vector<std::pair<std::shared_ptr<PointRequestState>, size_t>>
             deliveries = std::move(it->second.joiners);
-        deliveries.emplace(deliveries.begin(), req, point.slot);
+        deliveries.emplace(deliveries.begin(), std::move(point.req),
+                           point.slot);
         s.inflight.erase(it);
         if (error) {
             for (const auto &d : deliveries) {
                 if (!d.first->error)
                     d.first->error = error;
-                d.first->undelivered -= 1;
             }
+        } else {
+            s.counters.pointsSimulated += 1;
+            s.lruInsertLocked(point.key, row);
             lock.unlock();
-            s.doneCv.notify_all();
-            lock.lock();
-            continue;
-        }
-        s.counters.pointsSimulated += 1;
-        s.lruInsertLocked(point.key, row);
-        lock.unlock();
-
-        for (const auto &d : deliveries) {
-            try {
-                d.first->deliver(d.second, row);
-            } catch (...) {
-                MutexLock errLock(s.mutex);
-                if (!d.first->error)
-                    d.first->error = std::current_exception();
+            for (const auto &d : deliveries) {
+                try {
+                    d.first->deliver(d.second, row);
+                } catch (...) {
+                    MutexLock errLock(s.mutex);
+                    if (!d.first->error)
+                        d.first->error = std::current_exception();
+                }
             }
+            lock.lock();
         }
 
-        lock.lock();
-        for (const auto &d : deliveries)
-            d.first->undelivered -= 1;
+        std::vector<std::shared_ptr<PointRequestState>> finished;
+        for (const auto &d : deliveries) {
+            if (--d.first->undelivered == 0 && d.first->closed)
+                s.finishLocked(d.first, finished);
+        }
+        if (finished.empty())
+            continue;
         lock.unlock();
-        s.doneCv.notify_all();
+        for (const auto &done : finished)
+            done->done(done->error);
         lock.lock();
     }
 }
 
 PointScheduler::Request::Request(PointScheduler &sched, ExecFn exec,
                                  DeliverFn deliver)
-    : _sched(sched),
-      _state(sched.registerRequest(std::move(exec), std::move(deliver)))
+    : Request(sched, std::move(exec), std::move(deliver), nullptr)
 {}
+
+PointScheduler::Request::Request(PointScheduler &sched, ExecFn exec,
+                                 DeliverFn deliver, DoneFn done, Lane lane)
+    : _sched(sched)
+{
+    if (!done) {
+        // The blocking handle: wait() is a wrapper over a completion
+        // that fulfils a promise. The completion owns the promise, so
+        // it outlives the set_value() a waiter may wake on.
+        auto promise = std::make_shared<std::promise<void>>();
+        _done = promise->get_future();
+        done = [promise](const std::exception_ptr &error) {
+            if (error)
+                promise->set_exception(error);
+            else
+                promise->set_value();
+        };
+    }
+    _state = sched.registerRequest(std::move(exec), std::move(deliver),
+                                   std::move(done), std::move(lane));
+}
 
 PointScheduler::Request::~Request()
 {
-    if (_waited)
-        return;
-    // A handle abandoned without wait() still has to drain (workers
-    // hold references to its state) — but a destructor cannot rethrow.
+    // A blocking handle still has to drain: its specs and callbacks
+    // live in the owner's frame. A destructor cannot rethrow.
     try {
         wait();
     } catch (...) {
@@ -358,17 +410,25 @@ void
 PointScheduler::Request::add(const ExperimentSpec &spec,
                              const std::string &key)
 {
-    MOMSIM_ASSERT(!_waited, "add() after wait()");
+    MOMSIM_ASSERT(!_closed, "add() after close()");
     _sched.addPoint(_state, spec, key);
+}
+
+void
+PointScheduler::Request::close()
+{
+    if (_closed)
+        return;
+    _closed = true;
+    _sched.closeRequest(_state);
 }
 
 void
 PointScheduler::Request::wait()
 {
-    if (_waited)
-        return;
-    _waited = true;
-    _sched.waitRequest(_state);
+    close();
+    if (_done.valid())
+        _done.get();
 }
 
 } // namespace momsim::driver

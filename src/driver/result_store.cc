@@ -187,23 +187,6 @@ appendResultRow(std::string &out, const ResultRow &row, bool withTiming)
     out += '}';
 }
 
-std::string
-serializeResultRow(const ResultRow &row)
-{
-    std::string out;
-    out.reserve(kResultRowBytesHint);
-    appendResultRow(out, row, true);
-    return out;
-}
-
-bool
-parseResultRow(const std::string &line, ResultRow &out)
-{
-    svc::JsonValue doc;
-    std::string error;
-    return svc::parseJson(line, doc, error) && rowFromJson(doc, out);
-}
-
 void
 appendStoreLine(std::string &out, const std::string &key,
                 const ResultRow &row, bool withTiming)

@@ -71,10 +71,11 @@ constexpr int kSimCodeVersion = 1;
 uint64_t configFingerprint(const ExperimentSpec &spec);
 
 /**
- * One row as a single JSON line (no trailing newline; ResultRow.wallMs
- * — the experiment wall clock — is not serialized, but the run's own
- * sim_kcps/wall_ms self-measurement is, so cached rows keep their
- * original throughput numbers).
+ * One row as a single JSON object appended to @p out (no newline;
+ * ResultRow.wallMs — the experiment wall clock — is not serialized,
+ * but the run's own sim_kcps/wall_ms self-measurement is, so cached
+ * rows keep their original throughput numbers). @p withTiming=false
+ * writes sim_kcps and wall_ms as 0, as a zeroed row would serialize.
  *
  * The writer makes one pass and builds no temporary string: integers
  * and doubles go through std::to_chars, doubles in general format with
@@ -82,27 +83,11 @@ uint64_t configFingerprint(const ExperimentSpec &spec);
  * goldens hold them — so they equal what printf's %.17g/%d/%llu and
  * jsonEscape produce, field for field, in a fixed order.
  */
-std::string serializeResultRow(const ResultRow &row);
-
-/**
- * serializeResultRow(@p row) appended to @p out. @p withTiming=false
- * writes sim_kcps and wall_ms as 0, as a zeroed row would serialize.
- */
 void appendResultRow(std::string &out, const ResultRow &row,
                      bool withTiming);
 
 /** A serialized row's typical size plus slack: a reserve() hint. */
 constexpr size_t kResultRowBytesHint = 640;
-
-/**
- * Parse a line produced by serializeResultRow with the service's
- * strict JSON parser (svc/json.hh), the same reader ResultStore uses
- * for its own lines. The line must be one JSON object, every row field
- * present and well typed, and "schema" equal to kResultSchemaVersion;
- * unknown fields (a store line's "key") are ignored. Doubles
- * round-trip exactly.
- */
-bool parseResultRow(const std::string &line, ResultRow &out);
 
 /**
  * One store line appended to @p out (no newline): `{"key":...,` then
@@ -113,9 +98,12 @@ void appendStoreLine(std::string &out, const std::string &key,
                      const ResultRow &row, bool withTiming);
 
 /**
- * Read one parsed store line: a non-empty string "key" plus a row that
- * parseResultRow would accept. ResultStore::loadFile and the fabric
- * coordinator's reader of streamed rows both go through it.
+ * Read one store line parsed by the service's strict JSON parser
+ * (svc/json.hh): a non-empty string "key" plus every row field,
+ * present and well typed, with "schema" equal to kResultSchemaVersion;
+ * unknown fields are ignored and doubles round-trip exactly.
+ * ResultStore::loadFile and the fabric coordinator's reader of
+ * streamed rows both go through it.
  */
 bool readStoreLine(const svc::JsonValue &doc, std::string &key,
                    ResultRow &row);
@@ -163,10 +151,10 @@ class ResultStore
 
     /**
      * Merge @p path's rows into the lookup map without adopting it as
-     * the append target. Each line is parsed as parseResultRow does
-     * and must carry a non-empty "key". Rows of another schema version
-     * are counted and skipped. A truncated final line (a crashed
-     * writer) is ignored; corruption anywhere else fails the load.
+     * the append target. Each line must be one readStoreLine
+     * accepts. Rows of another schema version are counted and
+     * skipped. A truncated final line (a crashed writer) is ignored;
+     * corruption anywhere else fails the load.
      */
     bool loadFile(const std::string &path);
 

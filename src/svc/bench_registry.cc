@@ -8,7 +8,7 @@ benchRegistry()
 {
     // Listed in the figure/table order of the paper, the order
     // `momsim list` prints. Construction is thread-safe (magic
-    // statics) because SimService::submit resolves names concurrently.
+    // statics) because SimService::start resolves names concurrently.
     static const std::vector<BenchDef> registry = {
         makeTable1Def(),  makeTable2Def(),   makeTable3Def(),
         makeFig4Def(),    makeFig5Def(),     makeFig6Def(),

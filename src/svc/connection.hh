@@ -1,20 +1,25 @@
 /**
  * @file
- * Connection — one accepted `momsim serve` client: a thread that
- * reads newline-delimited SimRequest JSON (and fabric pings) from the
- * socket, drives the shared ResponseSequencer (the same state machine
- * `momsim batch` runs over stdin/stdout), and streams SimResponse
- * JSONL back, in request order, tagged with this connection's client
- * id.
+ * The one transport loop behind `momsim batch` (stdin/stdout) and every
+ * `momsim serve` connection, and Connection — one accepted serve
+ * client on a thread of its own.
  *
- * Lifecycle: start() spawns the thread; the connection runs until the
- * client stops sending (EOF / half-close), the client stops *reading*
- * (a write error flips the sequencer into drain mode and queued work
- * is discarded unsimulated), the client sends a request line longer
- * than kMaxLineBytes, or the server forces drain via shutdownRead().
- * In every case in-flight responses are flushed before the socket
- * closes — an abrupt client disconnect never takes down the daemon,
- * only its own connection.
+ * serveLines() reads newline-delimited SimRequest JSON (and fabric
+ * pings) from a file descriptor and drives a ResponseSequencer wired
+ * to the service: every request it pushes starts on one scheduler
+ * lane of its own stream, so the stream's requests are served in
+ * order and the stream holds one round-robin share of the workers.
+ * The reading thread parses, plans and starts each request; the
+ * sequencer's emitter writes the responses, in request order. Those
+ * two threads are all a stream costs, besides the scheduler's workers.
+ *
+ * A connection runs until the client stops sending (EOF / half-close),
+ * the client stops *reading* (a write error flips the sequencer into
+ * drain mode and the rest of the input is never started), the client
+ * sends a request line longer than kMaxLineBytes, or the server
+ * forces drain via shutdownRead(). In every case in-flight responses
+ * are flushed before the socket closes — an abrupt client disconnect
+ * never takes down the daemon, only its own connection.
  */
 
 #ifndef MOMSIM_SVC_CONNECTION_HH
@@ -26,17 +31,37 @@
 #include <thread>
 
 #include "common/net.hh"
+#include "svc/sequencer.hh"
 
 namespace momsim::svc
 {
 
 class SimService;
 
+/** How serveLines() stopped reading. */
+enum class StreamEnd
+{
+    Eof,            ///< the input ended; every answer went out
+    WriteFailed,    ///< the output died; the rest of the input was dropped
+    Overlong,       ///< a line exceeded Connection::kMaxLineBytes
+};
+
+/**
+ * Read request lines from @p fd until EOF and answer them through
+ * @p cfg's emit hook, in order. @p cfg supplies emit and the admission
+ * and output options; the start and pong hooks are wired to
+ * @p service here. A line longer than Connection::kMaxLineBytes stops
+ * the reading: once the earlier answers are out, it gets one
+ * structured bad_request naming the limit.
+ */
+StreamEnd serveLines(int fd, SimService &service,
+                     ResponseSequencer::Config cfg);
+
 class Connection
 {
   public:
     /**
-     * The longest request line a connection buffers. A client that
+     * The longest request line a stream buffers. A client that
      * streams past it without a newline gets one structured
      * bad_request naming the limit, after the responses to its earlier
      * lines, and the connection closes — so one client cannot grow the
@@ -46,8 +71,8 @@ class Connection
 
     struct Options
     {
-        int parallel = 2;       ///< submitter threads per connection
-        size_t maxPending = 0;  ///< admission queue bound; 0 => auto
+        /** Requests accepted but not yet answered, per connection. */
+        size_t maxPending = ResponseSequencer::kDefaultMaxPending;
         bool withTiming = true;
     };
 
@@ -76,8 +101,6 @@ class Connection
     void shutdownRead();
 
     void join();
-
-    const std::string &clientTag() const { return _clientTag; }
 
   private:
     void run();

@@ -9,9 +9,9 @@
  *                            subcommand migration table)
  *   momsim help [bench]      generated usage + flag table
  *   momsim batch [...]       read JSONL SimRequests on stdin, execute
- *                            them through one shared SimService with
- *                            concurrent client threads, stream JSONL
- *                            SimResponses to stdout in input order
+ *                            them concurrently through one shared
+ *                            SimService, stream JSONL SimResponses to
+ *                            stdout in input order
  *   momsim serve [...]       the same service as a long-lived daemon:
  *                            JSONL per connection over TCP and/or a
  *                            unix socket, warm across requests
@@ -23,20 +23,21 @@
  *
  * batch flags:
  *   --jobs N      simulation pool workers (default: all hardware)
- *   --parallel M  concurrent client submitters (default 2; capped 16)
  *   --client C    client tag echoed in every response (default none)
  *   --no-timing   zero wallMs/sim_kcps in responses so identical
  *                 request streams produce byte-identical output (the
  *                 batch determinism gate runs this)
  *
- * batch and serve are two transports over one state machine
- * (svc/sequencer.hh): responses are emitted strictly in request
- * order, tagged with each request's echoed id (salvaged from the
- * line even when it does not parse), so output is deterministic no
- * matter how the submitters interleave; a malformed line produces an
- * error response in its slot rather than aborting the stream; SIGPIPE
- * is ignored and a dead output pipe drains the remaining input
- * without simulating it.
+ * batch and serve are two transports over one loop (serveLines in
+ * svc/connection.hh): the reader starts each request as it arrives,
+ * and responses are emitted strictly in request order, tagged with
+ * each request's echoed id (salvaged from the line even when it does
+ * not parse), so output is deterministic no matter how completions
+ * interleave; a malformed line produces an error response in its slot
+ * rather than aborting the stream; a line over 1 MiB gets one
+ * bad_request after the earlier answers and stops the input; SIGPIPE
+ * is ignored and a dead output pipe drops the remaining input without
+ * simulating it.
  */
 
 #include <cstdio>
@@ -45,13 +46,15 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/net.hh"
 #include "fabric/coord_main.hh"
 #include "fabric/protocol.hh"
 #include "svc/bench_registry.hh"
-#include "svc/sequencer.hh"
+#include "svc/connection.hh"
 #include "svc/serve_main.hh"
 #include "svc/sim_service.hh"
 
@@ -108,15 +111,13 @@ runHelp(int argc, char **argv)
             std::printf(
                 "momsim batch — serve JSONL SimRequests from stdin\n"
                 "\n"
-                "usage: momsim batch [--jobs N] [--parallel M] "
-                "[--client C] [--no-timing]\n"
+                "usage: momsim batch [--jobs N] [--client C] "
+                "[--no-timing]\n"
                 "                    [--mem-cache-rows N] [--stats]\n"
                 "\n"
                 "flags:\n"
                 "  --jobs, -j N     scheduler workers (default: "
                 "all hardware)\n"
-                "  --parallel M     concurrent client submitters "
-                "(default 2, max 16)\n"
                 "  --client C       client tag echoed in every "
                 "response (default none)\n"
                 "  --no-timing      zero wallMs/sim_kcps in responses "
@@ -138,8 +139,13 @@ runHelp(int argc, char **argv)
                 "request's id. A request with \"stream\":true first "
                 "gets one line per row,\nin the result store's format. "
                 "Malformed lines produce ok:false responses\nin their "
-                "slot.\n",
-                kSimRequestSchemaVersion);
+                "slot. Each request starts as soon as it is read, at "
+                "most %zu\nunanswered at a time; they are served in "
+                "input order. A line over\n%zu bytes gets one "
+                "bad_request and ends the input (exit 1).\n",
+                kSimRequestSchemaVersion,
+                ResponseSequencer::kDefaultMaxPending,
+                Connection::kMaxLineBytes);
             return 0;
         }
         if (std::strcmp(argv[0], "serve") == 0) {
@@ -158,15 +164,14 @@ runHelp(int argc, char **argv)
                 "  --unix PATH      listen on a unix-domain socket\n"
                 "  --jobs, -j N     scheduler workers (default: "
                 "all hardware)\n"
-                "  --parallel M     submitter threads per connection "
-                "(default 2, max 16)\n"
                 "  --mem-cache-rows N  in-memory result-row LRU "
                 "capacity (default 4096,\n"
                 "                   0 disables)\n"
                 "  --max-clients N  concurrent connections before "
                 "shedding (default 32)\n"
-                "  --max-pending N  per-connection admission queue "
-                "bound (default 2*M+8)\n"
+                "  --max-pending N  unanswered requests per "
+                "connection before shedding\n"
+                "                   (default %zu)\n"
                 "  --cache-dir DIR  persistent result store shared "
                 "across all requests\n"
                 "  --ready-file P   write the bound addresses to P "
@@ -177,8 +182,10 @@ runHelp(int argc, char **argv)
                 "Wire format: one SimRequest JSON object per line in, "
                 "one SimResponse\nper line out, in request order per "
                 "connection. Responses carry a\n\"client\" tag (the "
-                "request's own, or the connection's id). Over quota\n"
-                "the server answers ok:false code:overloaded instead "
+                "request's own, or the connection's id). A connection's\n"
+                "requests start as they arrive and are served in order, "
+                "on one fair\nshare of the workers. Over quota "
+                "the server answers ok:false\ncode:overloaded instead "
                 "of stalling.\nSIGINT/SIGTERM drains gracefully: stop "
                 "accepting, finish in-flight\nrequests, flush, exit 0 "
                 "(second signal: stop reading new requests).\n"
@@ -192,12 +199,13 @@ runHelp(int argc, char **argv)
                 "\n"
                 "Fabric: {\"kind\":\"ping\"} answers with a pong "
                 "carrying the worker's\nversion fingerprint (%s), "
-                "uptimeMs, inFlight\n(requests executing), "
-                "pendingPoints (dealt points not yet streamed\nback) "
-                "and the scheduler's lifetime gauges: pointsSimulated,\n"
-                "pointsDeduped (in-flight joins), memCacheHits and "
-                "diskCacheHits. Any\nother \"kind\" gets an "
-                "unknown_kind error line.\n",
+                "uptimeMs, inFlight\n(requests started, not yet "
+                "answered), pendingPoints (dealt points not\nyet "
+                "streamed back) and the scheduler's lifetime gauges:\n"
+                "pointsSimulated, pointsDeduped (in-flight joins), "
+                "memCacheHits and\ndiskCacheHits. Any other \"kind\" "
+                "gets an unknown_kind error line.\n",
+                ResponseSequencer::kDefaultMaxPending,
                 momsim::fabric::fabricVersionString().c_str());
             return 0;
         }
@@ -334,18 +342,15 @@ runHelp(int argc, char **argv)
 
 /**
  * The JSONL request loop: stdin/stdout as a transport over the shared
- * ResponseSequencer. The main thread reads stdin and push()es lines;
- * the sequencer's M submitters call SimService::submit (every request
- * feeds the one --jobs scheduler — M buys request pipelining and
- * exercises the concurrent-submit contract, not extra simulation
- * parallelism) and its emitter writes responses in sequence order.
+ * loop (serveLines). The main thread reads stdin, plans and starts
+ * each request on the stream's scheduler lane; the sequencer's
+ * emitter writes responses in sequence order.
  */
 int
 runBatch(int argc, char **argv)
 {
     const char *cmd = "momsim batch";
     int jobs = 0;
-    int parallel = 2;
     int memCacheRows = -1;
     bool withTiming = true;
     bool stats = false;
@@ -356,11 +361,6 @@ runBatch(int argc, char **argv)
             std::strcmp(arg, "-j") == 0) {
             if (!intFlag(cmd, argc, argv, i, 1, jobs))
                 return 2;
-        } else if (std::strcmp(arg, "--parallel") == 0) {
-            if (!intFlag(cmd, argc, argv, i, 1, parallel))
-                return 2;
-            if (parallel > 16)
-                parallel = 16;
         } else if (std::strcmp(arg, "--mem-cache-rows") == 0) {
             if (!intFlag(cmd, argc, argv, i, 0, memCacheRows))
                 return 2;
@@ -391,14 +391,6 @@ runBatch(int argc, char **argv)
     // batch answers pings and streams rows exactly as serve does,
     // which keeps the whole wire testable without sockets.
     ResponseSequencer::Config scfg;
-    scfg.submit = [&service](const SimRequest &req,
-                             const SimService::RowFn &onRow) {
-        return service.submit(req, onRow);
-    };
-    scfg.pong = [&service](const std::string &id) {
-        return momsim::fabric::pongToJson(
-            momsim::fabric::pongOf(service, id));
-    };
     scfg.emit = [](const std::string &line) {
         // In-order, line-buffered: each response is one line, flushed,
         // so a streaming client sees it as soon as its turn comes.
@@ -409,28 +401,10 @@ runBatch(int argc, char **argv)
             return false;
         return std::fflush(stdout) == 0;
     };
-    scfg.parallel = parallel;
     scfg.shedOnFull = false;    // stdin backpressure, never shed
     scfg.withTiming = withTiming;
     scfg.clientTag = clientTag;
-    ResponseSequencer seq(scfg);
-
-    // The main thread is the reader: one request per input line; blank
-    // lines are skipped (convenient for hand-written request files).
-    std::string line;
-    int c;
-    while ((c = std::fgetc(stdin)) != EOF) {
-        if (c == '\n') {
-            seq.push(std::move(line));
-            line.clear();
-            if (seq.writeFailed())
-                break;  // undeliverable: drain, don't simulate
-        } else {
-            line += static_cast<char>(c);
-        }
-    }
-    seq.push(std::move(line));  // a final line without trailing newline
-    seq.finish();
+    const StreamEnd end = serveLines(STDIN_FILENO, service, std::move(scfg));
 
     if (stats) {
         // The same gauge set the serve ping reports, for the one-shot
@@ -449,13 +423,18 @@ runBatch(int argc, char **argv)
                      (unsigned long long)gauges.diskCacheHits);
     }
 
-    if (seq.writeFailed()) {
+    if (end == StreamEnd::WriteFailed) {
         std::fprintf(stderr,
                      "momsim batch: stdout write failed (consumer "
-                     "closed the pipe?); emitted %zu of %zu accepted "
-                     "response(s), remaining input dropped without "
-                     "simulating\n",
-                     seq.emitted(), seq.accepted());
+                     "closed the pipe?); remaining input dropped without "
+                     "simulating\n");
+        return 1;
+    }
+    if (end == StreamEnd::Overlong) {
+        std::fprintf(stderr,
+                     "momsim batch: request line exceeds %zu bytes; "
+                     "stopped reading input\n",
+                     Connection::kMaxLineBytes);
         return 1;
     }
     return 0;

@@ -51,7 +51,6 @@ runServe(int argc, char **argv)
     std::string host = "127.0.0.1";
     std::string unixPath;
     int jobs = 0;
-    int parallel = 2;
     int memCacheRows = -1;
     int maxClients = 32;
     int maxPending = 0;
@@ -78,11 +77,6 @@ runServe(int argc, char **argv)
                    std::strcmp(arg, "-j") == 0) {
             if (!intFlag(cmd, argc, argv, i, 1, jobs))
                 return 2;
-        } else if (std::strcmp(arg, "--parallel") == 0) {
-            if (!intFlag(cmd, argc, argv, i, 1, parallel))
-                return 2;
-            if (parallel > 16)
-                parallel = 16;
         } else if (std::strcmp(arg, "--mem-cache-rows") == 0) {
             if (!intFlag(cmd, argc, argv, i, 0, memCacheRows))
                 return 2;
@@ -163,8 +157,8 @@ runServe(int argc, char **argv)
     }
 
     Connection::Options copts;
-    copts.parallel = parallel;
-    copts.maxPending = static_cast<size_t>(maxPending);
+    if (maxPending > 0)
+        copts.maxPending = static_cast<size_t>(maxPending);
     copts.withTiming = withTiming;
 
     std::vector<std::unique_ptr<Connection>> conns;

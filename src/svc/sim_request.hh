@@ -85,8 +85,8 @@ struct SimRequest
      * its own line in the result store's format (`{"key":...,` plus the
      * row's fields), disk-cache hits first in sweep order, the rest as
      * they complete, and then the final SimResponse with the plan
-     * summary and an empty "rows". SimService::submit itself returns
-     * the rows as usual.
+     * summary and an empty "rows". SimService::start itself answers
+     * with the rows as usual.
      */
     bool stream = false;
 
@@ -101,7 +101,7 @@ struct SimRequest
      * wrong types and malformed JSON with a one-line description in
      * @p error. Structural validity only — semantic checks (known
      * bench, known workloads, shard bounds) happen in SimService::
-     * submit so they come back as structured SimResponse errors.
+     * start so they come back as structured SimResponse errors.
      */
     static bool fromJson(const std::string &json, SimRequest &out,
                          std::string &error);

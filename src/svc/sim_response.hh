@@ -2,7 +2,7 @@
  * @file
  * The response half of the momsim service API.
  *
- * A SimResponse is what SimService::submit returns for every request —
+ * A SimResponse is what SimService::start answers every request with —
  * success or failure, always a value, never an exit(): the rows of the
  * executed sweep (in sweep order, the same rows the CSV/JSON sinks
  * render), a plan summary (total/cached/simulated points), the
@@ -32,7 +32,7 @@ namespace momsim::svc
 /** Version of the SimResponse wire format. Bump on any field change. */
 constexpr int kSimResponseSchemaVersion = 1;
 
-/** Machine-readable failure categories of SimService::submit. */
+/** Machine-readable failure categories of SimService::start. */
 namespace errc
 {
 /** Request is structurally or semantically malformed. */
@@ -75,7 +75,7 @@ struct SimResponse
     size_t totalPoints = 0;     ///< full plan size (all shards)
     size_t cachedPoints = 0;    ///< this shard's store hits
     size_t simulatedPoints = 0; ///< this shard's fresh simulations
-    double wallMs = 0.0;        ///< submit() wall time
+    double wallMs = 0.0;        ///< start() to completion, wall time
     /** This shard's rows, in sweep order. */
     std::vector<driver::ResultRow> rows;
 

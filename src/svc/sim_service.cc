@@ -1,6 +1,7 @@
 #include "svc/sim_service.hh"
 
 #include <chrono>
+#include <future>
 #include <unordered_set>
 
 #include "common/logging.hh"
@@ -173,53 +174,48 @@ SimService::uptimeMs() const
             .count());
 }
 
-SimResponse
-SimService::submit(const SimRequest &req, const RowFn &onRow)
+void
+SimService::start(const SimRequest &req,
+                  const driver::PointScheduler::Lane &lane, RowFn onRow,
+                  DoneFn onDone)
 {
-    struct ActiveGuard
-    {
-        std::atomic<int> &counter;
-        explicit ActiveGuard(std::atomic<int> &c) : counter(c)
-        {
-            counter.fetch_add(1, std::memory_order_relaxed);
-        }
-        ~ActiveGuard()
-        {
-            counter.fetch_sub(1, std::memory_order_relaxed);
-        }
-    } guard(_active);
-
+    _active.fetch_add(1, std::memory_order_relaxed);
     const double t0 = nowMs();
+    // Every answer leaves through here, so inFlight() counts exactly
+    // the requests started and not yet answered.
+    auto answer = [this](DoneFn &finish, SimResponse resp) {
+        _active.fetch_sub(1, std::memory_order_relaxed);
+        finish(std::move(resp));
+    };
+    auto fail = [&](const std::string &code, const std::string &message) {
+        answer(onDone, SimResponse::failure(req.id, code, message));
+    };
 
     // ---- request validation, all via structured errors ----
     if (req.shardCount < 1 || req.shardIndex < 1 ||
         req.shardIndex > req.shardCount) {
-        return SimResponse::failure(
-            req.id, errc::kBadShard,
-            strfmt("bad shard %d/%d (want 1 <= I <= N)", req.shardIndex,
-                   req.shardCount));
+        return fail(errc::kBadShard,
+                    strfmt("bad shard %d/%d (want 1 <= I <= N)",
+                           req.shardIndex, req.shardCount));
     }
     if (!req.points.empty() && req.shardCount != 1) {
-        return SimResponse::failure(
-            req.id, errc::kBadShard,
-            "a request naming \"points\" must be unsharded — the "
-            "point list is the shard");
+        return fail(errc::kBadShard,
+                    "a request naming \"points\" must be unsharded — the "
+                    "point list is the shard");
     }
     for (const std::string &name : req.workloads) {
         if (!workloads::WorkloadSpec::isKnown(name)) {
-            return SimResponse::failure(
-                req.id, errc::kUnknownWorkload,
-                strfmt("unknown workload \"%s\" (see "
-                       "--list-workloads)", name.c_str()));
+            return fail(errc::kUnknownWorkload,
+                        strfmt("unknown workload \"%s\" (see "
+                               "--list-workloads)", name.c_str()));
         }
     }
     for (size_t i = 0; i < req.workloads.size(); ++i) {
         for (size_t j = i + 1; j < req.workloads.size(); ++j) {
             if (req.workloads[i] == req.workloads[j]) {
-                return SimResponse::failure(
-                    req.id, errc::kBadRequest,
-                    strfmt("duplicate workload \"%s\"",
-                           req.workloads[i].c_str()));
+                return fail(errc::kBadRequest,
+                            strfmt("duplicate workload \"%s\"",
+                                   req.workloads[i].c_str()));
             }
         }
     }
@@ -228,7 +224,7 @@ SimService::submit(const SimRequest &req, const RowFn &onRow)
     std::string benchName;
     SimResponse error;
     if (!resolveGrid(req, grid, benchName, error))
-        return error;
+        return answer(onDone, std::move(error));
 
     // The same fold the CLI harness applies — shared so the two entry
     // points cannot drift on key-affecting semantics.
@@ -243,23 +239,20 @@ SimService::submit(const SimRequest &req, const RowFn &onRow)
     // bound one, which is how a warm daemon turns repeat traffic into
     // cache replays instead of simulations. Stores are internally
     // thread-safe, and even two request-private stores on one dir
-    // serialize their file appends on a per-path lock.
-    std::shared_ptr<driver::ResultStore> shared;
+    // serialize their file appends on a per-path lock. The completion
+    // owns the store, so it lives until the last row is appended.
+    std::shared_ptr<driver::ResultStore> store;
     {
         MutexLock lock(_cacheMutex);
         if (req.cacheDir.empty() || req.cacheDir == _sharedDir)
-            shared = _sharedStore;
+            store = _sharedStore;
     }
-    driver::ResultStore localStore;
-    driver::ResultStore *store = shared.get();
     if (!store && !req.cacheDir.empty()) {
-        if (localStore.openDir(req.cacheDir)) {
-            store = &localStore;
-        } else {
-            return SimResponse::failure(
-                req.id, errc::kCacheDir,
-                strfmt("cannot open cacheDir \"%s\"",
-                       req.cacheDir.c_str()));
+        store = std::make_shared<driver::ResultStore>();
+        if (!store->openDir(req.cacheDir)) {
+            return fail(errc::kCacheDir,
+                        strfmt("cannot open cacheDir \"%s\"",
+                               req.cacheDir.c_str()));
         }
     }
 
@@ -271,7 +264,7 @@ SimService::submit(const SimRequest &req, const RowFn &onRow)
     repo.prebuild(grid.workloadList());
 
     driver::RunPlan plan =
-        planSweep(grid.expand(req.seed), repo, store,
+        planSweep(grid.expand(req.seed), repo, store.get(),
                   req.shardIndex - 1, req.shardCount);
 
     if (!req.points.empty()) {
@@ -299,10 +292,9 @@ SimService::submit(const SimRequest &req, const RowFn &onRow)
                     break;
                 }
             }
-            return SimResponse::failure(
-                req.id, errc::kBadRequest,
-                strfmt("unknown point \"%s\" (not in this sweep)",
-                       unknown->c_str()));
+            return fail(errc::kBadRequest,
+                        strfmt("unknown point \"%s\" (not in this sweep)",
+                               unknown->c_str()));
         }
     }
 
@@ -314,23 +306,6 @@ SimService::submit(const SimRequest &req, const RowFn &onRow)
                 onRow(p, p.row);
         }
     }
-    // A deal's points stay pending until their rows are delivered;
-    // run() returns only after every one of them was.
-    const long dealt = req.points.empty()
-                           ? 0
-                           : static_cast<long>(plan.simulateCount());
-    _pendingPoints.fetch_add(dealt, std::memory_order_relaxed);
-    auto deliver = [&](const driver::PlannedPoint &p,
-                       const driver::ResultRow &row) {
-        if (dealt != 0)
-            _pendingPoints.fetch_sub(1, std::memory_order_relaxed);
-        if (onRow)
-            onRow(p, row);
-    };
-
-    _sched.noteDiskCacheHits(plan.cachedMineCount());
-    driver::ResultSink sink =
-        driver::ExperimentRunner(repo, _sched).run(plan, store, deliver);
 
     SimResponse resp;
     resp.id = req.id;
@@ -339,9 +314,50 @@ SimService::submit(const SimRequest &req, const RowFn &onRow)
     resp.totalPoints = plan.points.size();
     resp.cachedPoints = plan.cachedMineCount();
     resp.simulatedPoints = plan.simulateCount();
-    resp.rows = sink.rows();
-    resp.wallMs = nowMs() - t0;
-    return resp;
+    _sched.noteDiskCacheHits(resp.cachedPoints);
+
+    // A deal's points stay pending until their rows are delivered.
+    const bool deal = !req.points.empty();
+    if (deal)
+        _pendingPoints.fetch_add(static_cast<long>(resp.simulatedPoints),
+                                 std::memory_order_relaxed);
+    auto deliver = [this, deal, onRow = std::move(onRow)](
+                       const driver::PlannedPoint &p,
+                       const driver::ResultRow &row) {
+        if (deal)
+            _pendingPoints.fetch_sub(1, std::memory_order_relaxed);
+        if (onRow)
+            onRow(p, row);
+    };
+    // noexcept: an exec failure is a simulator bug, not a request-
+    // shaped problem, so rethrowing it ends the process on whichever
+    // thread finished the request.
+    auto done = [this, answer, store, t0, resp = std::move(resp),
+                 onDone = std::move(onDone)](
+                    const driver::ResultSink &sink,
+                    const std::exception_ptr &failure) mutable noexcept {
+        if (failure)
+            std::rethrow_exception(failure);
+        resp.rows = sink.rows();
+        resp.wallMs = nowMs() - t0;
+        answer(onDone, std::move(resp));
+    };
+    driver::ExperimentRunner(repo, _sched)
+        .start(std::move(plan), store.get(), std::move(deliver),
+               std::move(done), lane);
+}
+
+SimResponse
+SimService::submit(const SimRequest &req, const RowFn &onRow)
+{
+    // The completion owns the promise, so it outlives the set_value()
+    // this thread wakes on.
+    auto result = std::make_shared<std::promise<SimResponse>>();
+    std::future<SimResponse> resp = result->get_future();
+    start(req, nullptr, onRow, [result](SimResponse done) {
+        result->set_value(std::move(done));
+    });
+    return resp.get();
 }
 
 bool

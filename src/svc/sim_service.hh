@@ -7,23 +7,25 @@
  * once — the point-level PointScheduler (worker pool + singleflight
  * dedup + in-memory LRU row cache), one WorkloadRepo per scale
  * (paper / tiny) and, per request, the ResultStore a request's
- * cacheDir names — and executes SimRequests submitted from any number
- * of client threads. submit() is thread-safe and never calls exit():
- * every outcome, including the bad-workload and bad-shard cases the
- * old bench binaries died on, comes back as a structured SimResponse.
+ * cacheDir names — and executes SimRequests started from any number
+ * of client threads. start() is thread-safe, asynchronous and never
+ * calls exit(): it validates, prebuilds and plans on the calling
+ * thread, queues the request's points and returns; every outcome,
+ * including the bad-workload and bad-shard cases the old bench
+ * binaries died on, comes back through its completion as a
+ * structured SimResponse. submit() is start() plus a wait.
  *
  * Determinism contract: a SimRequest's response rows depend only on
- * the request (and its cache contents), never on submission
- * concurrency — N client threads submitting concurrently produce
- * byte-identical responses (modulo the explicitly-timed fields) to a
- * serial replay. Requests no longer serialize on a run lock: every
- * request decomposes into content-addressed sweep points feeding the
- * shared scheduler, which interleaves *all* active requests fairly
- * (no head-of-line blocking behind a big sweep), joins duplicate
- * points in flight instead of re-simulating them, and replays
- * recently-computed rows from memory. Rows are deterministic per
- * point, so none of that is observable in response bytes — only in
- * the counters() gauges.
+ * the request (and its cache contents), never on concurrency — N
+ * client threads submitting concurrently produce byte-identical
+ * responses (modulo the explicitly-timed fields) to a serial replay.
+ * Requests do not serialize on a run lock: every request decomposes
+ * into content-addressed sweep points feeding the shared scheduler,
+ * which interleaves its lanes fairly (no head-of-line blocking behind
+ * a big sweep), joins duplicate points in flight instead of
+ * re-simulating them, and replays recently-computed rows from memory.
+ * Rows are deterministic per point, so none of that is observable in
+ * response bytes — only in the counters() gauges.
  *
  * Response accounting keeps its planning-time meaning: cachedPoints /
  * simulatedPoints describe *disk-store* state when the request was
@@ -37,6 +39,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,25 +72,44 @@ class SimService
     SimService(const SimService &) = delete;
     SimService &operator=(const SimService &) = delete;
 
-    /** Per-row callback of submit: the planned point (with its cache
+    /** Per-row callback of start: the planned point (with its cache
      *  key) and its row. Serialized. */
     using RowFn = driver::ExperimentRunner::RowFn;
 
+    /** start()'s completion: the request's response. */
+    using DoneFn = std::function<void(SimResponse)>;
+
     /**
-     * Execute @p req and return its response. Thread-safe; concurrent
-     * callers' sweep points interleave on the shared scheduler. Never
-     * exits, never throws for request-shaped problems (only for
-     * simulator bugs, which panic as they always have).
+     * Start @p req on @p lane (null: a lane of its own) and return.
+     * Validation, workload builds and planning run on the calling
+     * thread; @p onDone gets the response once, on the thread that
+     * finished the request — a scheduler worker, or the caller before
+     * start() returns when the request fails validation or needs no
+     * simulation. Thread-safe; concurrent callers' sweep points
+     * interleave on the shared scheduler. Never exits and never throws
+     * for request-shaped problems; an exec failure (a simulator bug)
+     * ends the process.
      *
      * @p onRow, when given, sees every row of the response: disk-cache
-     * hits first in sweep order, then the rest as they complete. A
-     * request naming `points` runs only those (see SimRequest::points)
-     * and its response still reports the full sweep's totalPoints, as
-     * a sharded request does.
+     * hits first in sweep order (on the caller), then the rest as they
+     * complete. A request naming `points` runs only those (see
+     * SimRequest::points) and its response still reports the full
+     * sweep's totalPoints, as a sharded request does.
+     *
+     * Destroy the service only after every started request completed.
      */
+    void start(const SimRequest &req,
+               const driver::PointScheduler::Lane &lane, RowFn onRow,
+               DoneFn onDone);
+
+    /** start() on a lane of its own, then wait for the response. */
     SimResponse submit(const SimRequest &req, const RowFn &onRow = nullptr);
 
-    /** Requests currently inside submit(). The serve ping reports
+    /** A new scheduler lane: requests started on it are served in
+     *  start() order and share one round-robin turn. */
+    driver::PointScheduler::Lane newLane() const { return _sched.newLane(); }
+
+    /** Requests started and not yet completed. The serve ping reports
      *  this. */
     int inFlight() const
     {

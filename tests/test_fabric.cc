@@ -4,9 +4,9 @@
  * round-trips and rejects version skew, the Dealer's fault-tolerance
  * state machine (worker death mid-shard re-deals, duplicate
  * completions are idempotent, an all-dead fleet reports failure
- * instead of hanging), the worker's side of the wire end to end (a
- * sequencer wired to a real SimService, as `momsim batch` and `momsim
- * serve` wire it), and the sequencer's streaming of a request's rows
+ * instead of hanging), the worker's side of the wire end to end (the
+ * transport loop `momsim batch` and `momsim serve` share, over a real
+ * SimService), and the sequencer's streaming of a request's rows
  * without reordering anyone else's responses.
  */
 
@@ -18,10 +18,14 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
+#include "common/net.hh"
 #include "driver/experiment.hh"
 #include "driver/result_store.hh"
 #include "fabric/dealer.hh"
 #include "fabric/protocol.hh"
+#include "svc/connection.hh"
 #include "svc/json.hh"
 #include "svc/sequencer.hh"
 #include "svc/sim_request.hh"
@@ -266,29 +270,31 @@ tinyPointIds()
     return ids;
 }
 
-/** Every line a sequencer wired to @p service the way `momsim batch`
- *  wires it emits for @p input, in order. */
+/** Every line the transport loop `momsim batch` and `momsim serve`
+ *  share emits for @p input against @p service, in order. */
 std::vector<std::string>
 answer(svc::SimService &service, const std::vector<std::string> &input)
 {
+    // The inputs are small, so the whole stream fits in the pipe
+    // before the loop starts reading it.
+    int fds[2];
+    EXPECT_EQ(::pipe(fds), 0);
+    std::string wire;
+    for (const std::string &line : input)
+        wire += line + "\n";
+    EXPECT_TRUE(net::writeAll(fds[1], wire.data(), wire.size()));
+    ::close(fds[1]);
+
     std::vector<std::string> out;
     svc::ResponseSequencer::Config cfg;
-    cfg.submit = [&service](const svc::SimRequest &req,
-                            const svc::SimService::RowFn &onRow) {
-        return service.submit(req, onRow);
-    };
-    cfg.pong = [&service](const std::string &id) {
-        return pongToJson(pongOf(service, id));
-    };
     cfg.emit = [&out](const std::string &line) {
         out.push_back(line);    // the one emitter thread
         return true;
     };
     cfg.withTiming = false;
-    svc::ResponseSequencer seq(cfg);
-    for (const std::string &line : input)
-        seq.push(line);
-    seq.finish();
+    EXPECT_EQ(svc::serveLines(fds[0], service, std::move(cfg)),
+              svc::StreamEnd::Eof);
+    ::close(fds[0]);
     return out;
 }
 
@@ -394,11 +400,11 @@ TEST(SequencerChunks, ChunksPrecedeTheirFinalAndNeverReorderOthers)
 {
     std::vector<std::string> out;
     svc::ResponseSequencer::Config cfg;
-    cfg.parallel = 4;
     // A streamed request gets three rows, then its final response; a
     // buffered one just the response.
-    cfg.submit = [](const svc::SimRequest &req,
-                    const svc::SimService::RowFn &onRow) {
+    cfg.start = [](const svc::SimRequest &req,
+                   const svc::SimService::RowFn &onRow,
+                   svc::SimService::DoneFn onDone) {
         if (req.stream) {
             for (int i = 0; i < 3; ++i) {
                 driver::PlannedPoint p;
@@ -411,7 +417,7 @@ TEST(SequencerChunks, ChunksPrecedeTheirFinalAndNeverReorderOthers)
         svc::SimResponse resp;
         resp.id = req.id;
         resp.ok = true;
-        return resp;
+        onDone(resp);
     };
     cfg.emit = [&](const std::string &line) {
         out.push_back(line);    // the one emitter thread

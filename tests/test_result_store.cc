@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the result-store subsystem: ResultRow serialize→parse
+ * Tests for the result-store subsystem: ResultRow write→read
  * round-trips (every field, exact doubles), the writer's bytes pinned
  * to a printf reference, cache-key invalidation on
  * workload-fingerprint and schema changes, on-disk store persistence,
@@ -30,6 +30,7 @@
 #include "driver/experiment.hh"
 #include "driver/point_scheduler.hh"
 #include "driver/result_store.hh"
+#include "svc/json.hh"
 #include "tests/csv_test_util.hh"
 #include "workloads/workload_repo.hh"
 
@@ -115,22 +116,52 @@ expectRowsBitIdentical(const ResultRow &a, const ResultRow &b)
 // Serialize / parse round-trip
 // ---------------------------------------------------------------------------
 
+/** @p row as the one writer renders it, timing included. */
+std::string
+rowLine(const ResultRow &row)
+{
+    std::string out;
+    appendResultRow(out, row, true);
+    return out;
+}
+
+/** A row line turned into a store line: a "key" in front. */
+std::string
+keyed(const std::string &line)
+{
+    return "{\"key\":\"k\"," + line.substr(1);
+}
+
+/** Read one store line as ResultStore does: the strict JSON parser,
+ *  then readStoreLine. */
+bool
+readLine(const std::string &line, ResultRow &out)
+{
+    svc::JsonValue doc;
+    std::string error, key;
+    return svc::parseJson(line, doc, error) &&
+           readStoreLine(doc, key, out);
+}
+
+
 TEST(ResultRowSerialization, RoundTripsEveryFieldExactly)
 {
     ResultRow row = sampleRow();
-    std::string line = serializeResultRow(row);
+    std::string line;
+    appendStoreLine(line, "k", row, true);
+    ASSERT_EQ(line, keyed(rowLine(row)));
     ResultRow back;
-    ASSERT_TRUE(parseResultRow(line, back)) << line;
+    ASSERT_TRUE(readLine(line, back)) << line;
     expectRowsBitIdentical(row, back);
 
     // Round-trip is a fixed point: serializing the parse reproduces
     // the identical line.
-    EXPECT_EQ(serializeResultRow(back), line);
+    EXPECT_EQ(keyed(rowLine(back)), line);
 }
 
 TEST(ResultRowSerialization, FloatsAreFiniteDecimalText)
 {
-    std::string line = serializeResultRow(sampleRow());
+    std::string line = rowLine(sampleRow());
     EXPECT_EQ(line.find("nan"), std::string::npos);
     EXPECT_EQ(line.find("inf"), std::string::npos);
     EXPECT_EQ(line.find('\n'), std::string::npos);
@@ -143,7 +174,7 @@ TEST(ResultRowSerialization, EscapedStringsSurvive)
     row.workload = "mix\"quote";
     row.variant = "line\nbreak\tand\\slash";
     ResultRow back;
-    ASSERT_TRUE(parseResultRow(serializeResultRow(row), back));
+    ASSERT_TRUE(readLine(keyed(rowLine(row)), back));
     EXPECT_EQ(back.id, row.id);
     EXPECT_EQ(back.workload, row.workload);
     EXPECT_EQ(back.variant, row.variant);
@@ -209,11 +240,11 @@ printfRow(const ResultRow &r)
     return out + "}";
 }
 
-/** serializeResultRow, and the zeroed-timing append, match printfRow. */
+/** The writer, with and without timing, matches printfRow. */
 void
 expectPrintfBytes(const ResultRow &row)
 {
-    ASSERT_EQ(serializeResultRow(row), printfRow(row));
+    ASSERT_EQ(rowLine(row), printfRow(row));
     ResultRow zeroed = row;
     zeroed.run.simKcps = 0.0;
     zeroed.run.wallMs = 0.0;
@@ -293,7 +324,7 @@ TEST(ResultRowSerialization, MatchesPrintfOnRandomRows)
         row.run.l1AvgLatency = finite();
         row.run.simKcps = finite();
         row.run.wallMs = finite();
-        ASSERT_EQ(serializeResultRow(row), printfRow(row)) << "row " << i;
+        ASSERT_EQ(rowLine(row), printfRow(row)) << "row " << i;
     }
 }
 
@@ -311,48 +342,51 @@ TEST(ResultRowSerialization, MatchesPrintfOnEscapedStrings)
 
 TEST(ResultRowSerialization, RejectsMissingFieldsAndGarbage)
 {
+    // Every input carries a valid key, so each fails for its own
+    // reason.
     ResultRow out;
-    EXPECT_FALSE(parseResultRow("", out));
-    EXPECT_FALSE(parseResultRow("{}", out));
-    EXPECT_FALSE(parseResultRow("not json at all", out));
+    EXPECT_FALSE(readLine("", out));
+    EXPECT_FALSE(readLine("{\"key\":\"k\"}", out));
+    EXPECT_FALSE(readLine("{\"key\":\"k\", not json at all}", out));
 
-    std::string line = serializeResultRow(sampleRow());
+    std::string line = keyed(rowLine(sampleRow()));
+    ASSERT_TRUE(readLine(line, out));
     // Truncation loses the tail fields.
-    EXPECT_FALSE(parseResultRow(line.substr(0, line.size() / 2), out));
+    EXPECT_FALSE(readLine(line.substr(0, line.size() / 2), out));
     // Dropping one required field must fail, not default-fill.
     std::string noSeed = line;
     size_t pos = noSeed.find("\"seed\":");
     ASSERT_NE(pos, std::string::npos);
     size_t end = noSeed.find(',', pos);
     noSeed.erase(pos, end - pos + 1);
-    EXPECT_FALSE(parseResultRow(noSeed, out));
+    EXPECT_FALSE(readLine(noSeed, out));
 
     // One JSON object with each field once, nothing more: trailing
     // bytes, a repeated field and a non-JSON number token all reject.
-    EXPECT_FALSE(parseResultRow(line + "x", out));
+    EXPECT_FALSE(readLine(line + "x", out));
     std::string twice = line;
     twice.insert(twice.size() - 1, ",\"threads\":8");
-    EXPECT_FALSE(parseResultRow(twice, out));
+    EXPECT_FALSE(readLine(twice, out));
     std::string nanIpc = line;
     pos = nanIpc.find("\"ipc\":");
     ASSERT_NE(pos, std::string::npos);
     pos += 6;
     nanIpc.replace(pos, nanIpc.find(',', pos) - pos, "nan");
-    EXPECT_FALSE(parseResultRow(nanIpc, out));
+    EXPECT_FALSE(readLine(nanIpc, out));
 }
 
 TEST(ResultRowSerialization, RejectsForeignOrAbsentSchemaVersion)
 {
-    std::string line = serializeResultRow(sampleRow());
+    std::string line = keyed(rowLine(sampleRow()));
     ResultRow out;
-    ASSERT_TRUE(parseResultRow(line, out));
+    ASSERT_TRUE(readLine(line, out));
 
     std::string old = line;
     size_t pos = old.find("\"schema\":");
     ASSERT_NE(pos, std::string::npos);
     old.replace(pos, strfmt("\"schema\":%d", kResultSchemaVersion).size(),
                 "\"schema\":1");
-    EXPECT_FALSE(parseResultRow(old, out));
+    EXPECT_FALSE(readLine(old, out));
 
     // Schema is a required field, not an optional check: a line with
     // no version at all must not parse as the current version.
@@ -360,7 +394,7 @@ TEST(ResultRowSerialization, RejectsForeignOrAbsentSchemaVersion)
     size_t end = stripped.find(',', pos);
     ASSERT_NE(end, std::string::npos);
     stripped.erase(pos, end - pos + 1);
-    EXPECT_FALSE(parseResultRow(stripped, out));
+    EXPECT_FALSE(readLine(stripped, out));
 }
 
 // ---------------------------------------------------------------------------
@@ -561,7 +595,7 @@ TEST(ResultStore, UnknownFieldsOfEveryJsonTypeAreIgnored)
     const std::string dir = "test_result_store.unknown";
     wipeStoreDir(dir);
     const ResultRow row = sampleRow();
-    const std::string line = serializeResultRow(row);
+    const std::string line = rowLine(row);
     const char *extras[] = {
         "\"u_string\":\"x\"", "\"u_number\":-1.5e3",
         "\"u_bool\":true",     "\"u_null\":null",
@@ -574,9 +608,9 @@ TEST(ResultStore, UnknownFieldsOfEveryJsonTypeAreIgnored)
         std::string withExtra = "{" + std::string(extras[k]) + "," +
                                 line.substr(1);
         ResultRow back;
-        ASSERT_TRUE(parseResultRow(withExtra, back)) << withExtra;
+        ASSERT_TRUE(readLine(keyed(withExtra), back)) << withExtra;
         expectRowsBitIdentical(row, back);
-        EXPECT_EQ(serializeResultRow(back), line);
+        EXPECT_EQ(rowLine(back), line);
         file += strfmt("{\"key\":\"k%zu\",", k) + withExtra.substr(1) +
                 "\n";
     }
@@ -608,7 +642,7 @@ TEST(ResultStore, CorruptLineBeforeTheLastFailsTheLoad)
     const std::string file = dir + "/" + ResultStore::kFileName;
     const std::string good = readWhole(file);
     const size_t secondLine = good.find('\n') + 1;
-    std::string noKey = serializeResultRow(sampleRow()) + "\n";
+    std::string noKey = rowLine(sampleRow()) + "\n";
     for (const std::string &bad :
          { std::string("garbage\n"), std::string("{\"key\":\"k3\"}\n"),
            noKey }) {

@@ -5,8 +5,9 @@
  * executes every point exactly once no matter how many concurrent
  * requests ask for it, the in-memory LRU row cache replays within its
  * capacity and re-simulates past it, dispatch is round-robin-fair
- * across active requests (a small request never waits behind a large
- * sweep), exec failures propagate to wait(), concurrent duplicate
+ * across lanes (a small request never waits behind a large sweep) and
+ * FIFO within one, a request's completion runs once, after its last
+ * delivery, exec failures reach it and wait(), concurrent duplicate
  * SimService submissions stay byte-identical to a serial replay, and
  * two ResultStore instances sharing one directory append whole lines.
  *
@@ -18,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -343,6 +346,207 @@ TEST(PointScheduler, ExecFailureRethrowsFromWait)
     req.add(spec, "key-boom");
     EXPECT_THROW(req.wait(), std::runtime_error);
     EXPECT_EQ(sched.counters().pointsSimulated, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Completions and lanes (stub exec)
+// ---------------------------------------------------------------------------
+
+/** Counts completions and lets the test block until some landed. */
+struct CompletionLog
+{
+    std::mutex m;
+    std::condition_variable cv;
+    int calls = 0;
+    std::exception_ptr error;
+    std::thread::id thread;
+
+    PointScheduler::DoneFn done()
+    {
+        return [this](std::exception_ptr e) {
+            std::lock_guard<std::mutex> lock(m);
+            calls += 1;
+            error = e;
+            thread = std::this_thread::get_id();
+            cv.notify_all();
+        };
+    }
+
+    void awaitCalls(int n)
+    {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return calls >= n; });
+    }
+
+    int count()
+    {
+        std::lock_guard<std::mutex> lock(m);
+        return calls;
+    }
+};
+
+TEST(PointScheduler, CompletionRunsOnceAfterTheLastDelivery)
+{
+    StubExecHarness h;
+    h.gateArmed = true;
+    PointScheduler sched(oneWorker());
+    const ExperimentSpec a0 = specNamed("a0"), a1 = specNamed("a1");
+
+    CompletionLog log;
+    std::atomic<int> delivered { 0 };
+    int deliveredAtDone = -1;
+    int activeAtDone = -1;
+    {
+        PointScheduler::Request req(
+            sched, h.exec(),
+            [&](size_t, const ResultRow &) { delivered.fetch_add(1); },
+            [&, done = log.done()](std::exception_ptr e) {
+                deliveredAtDone = delivered.load();
+                activeAtDone = sched.counters().activeRequests;
+                done(e);
+            });
+        req.add(a0, a0.id);
+        req.add(a1, a1.id);
+        req.close();
+    }   // an asynchronous handle does not wait
+    h.awaitFirstBlocked();
+    EXPECT_EQ(log.count(), 0);
+    h.openGate();
+    log.awaitCalls(1);
+
+    EXPECT_EQ(deliveredAtDone, 2);
+    EXPECT_EQ(activeAtDone, 0);     // it left the rotation first
+    EXPECT_EQ(log.error, nullptr);
+    EXPECT_NE(log.thread, std::this_thread::get_id());
+
+    // Deliveries alone do not complete a request its owner has not
+    // closed: the completion waits for close().
+    const ExperimentSpec b0 = specNamed("b0");
+    std::mutex m;
+    std::condition_variable cv;
+    bool landed = false;
+    PointScheduler::Request open(
+        sched, h.exec(),
+        [&](size_t, const ResultRow &) {
+            std::lock_guard<std::mutex> lock(m);
+            landed = true;
+            cv.notify_all();
+        },
+        log.done());
+    open.add(b0, b0.id);
+    {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return landed; });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(log.count(), 1);
+    open.close();
+    log.awaitCalls(2);
+    open.close();                   // idempotent: still one call
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(log.count(), 2);
+    EXPECT_EQ(sched.counters().activeRequests, 0);
+}
+
+TEST(PointScheduler, CompletionRunsOnTheCallerWhenEveryPointHitsMemory)
+{
+    StubExecHarness h;
+    PointScheduler sched(oneWorker());
+    const ExperimentSpec p0 = specNamed("p0"), p1 = specNamed("p1");
+    auto drop = [](size_t, const ResultRow &) {};
+    {
+        PointScheduler::Request warm(sched, h.exec(), drop);
+        warm.add(p0, p0.id);
+        warm.add(p1, p1.id);
+        warm.wait();
+    }
+
+    CompletionLog log;
+    int delivered = 0;
+    PointScheduler::Request req(
+        sched, h.exec(), [&](size_t, const ResultRow &) { ++delivered; },
+        log.done());
+    req.add(p0, p0.id);
+    req.add(p1, p1.id);
+    EXPECT_EQ(delivered, 2);        // both replayed inside add()
+    EXPECT_EQ(log.count(), 0);
+    req.close();
+    // Nothing was left to simulate: close() itself ran the completion.
+    EXPECT_EQ(log.count(), 1);
+    EXPECT_EQ(log.thread, std::this_thread::get_id());
+    EXPECT_EQ(sched.counters().memCacheHits, 2u);
+    EXPECT_EQ(sched.counters().pointsSimulated, 2u);
+    EXPECT_EQ(h.order.size(), 2u);
+}
+
+TEST(PointScheduler, ExecFailureReachesTheCompletion)
+{
+    PointScheduler sched(oneWorker());
+    const ExperimentSpec spec = specNamed("boom");
+    CompletionLog log;
+    PointScheduler::Request req(
+        sched,
+        [](const std::vector<const ExperimentSpec *> &)
+            -> std::vector<ResultRow> {
+            throw std::runtime_error("injected exec failure");
+        },
+        [](size_t, const ResultRow &) { FAIL() << "delivered a row"; },
+        log.done());
+    req.add(spec, "key-boom");
+    req.close();
+    log.awaitCalls(1);
+    ASSERT_NE(log.error, nullptr);
+    try {
+        std::rethrow_exception(log.error);
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "injected exec failure");
+    }
+    EXPECT_EQ(log.count(), 1);
+    EXPECT_EQ(sched.counters().activeRequests, 0);
+}
+
+TEST(PointScheduler, LaneIsFifoAndLanesShareWorkersRoundRobin)
+{
+    StubExecHarness h;
+    h.gateArmed = true;
+    PointScheduler sched(oneWorker());
+    std::vector<ExperimentSpec> a, b, c;
+    for (int i = 0; i < 3; ++i) {
+        a.push_back(specNamed(strfmt("a%d", i)));
+        c.push_back(specNamed(strfmt("c%d", i)));
+    }
+    for (int i = 0; i < 2; ++i)
+        b.push_back(specNamed(strfmt("b%d", i)));
+
+    // Requests a and b share one lane, in that order; c has no lane,
+    // so it is a lane of its own. All queue while the single worker
+    // sits inside a's gated first execution.
+    CompletionLog log;
+    auto drop = [](size_t, const ResultRow &) {};
+    const PointScheduler::Lane lane = sched.newLane();
+    auto start = [&](const std::vector<ExperimentSpec> &specs,
+                     PointScheduler::Lane l) {
+        PointScheduler::Request req(sched, h.exec(), drop, log.done(),
+                                    std::move(l));
+        for (const ExperimentSpec &spec : specs)
+            req.add(spec, spec.id);
+    };
+    start(a, lane);
+    h.awaitFirstBlocked();
+    start(b, lane);
+    start(c, nullptr);
+    EXPECT_EQ(sched.counters().activeRequests, 3);
+
+    h.openGate();
+    log.awaitCalls(3);
+
+    // The lane serves a, then b, however many points a has; the two
+    // lanes alternate on the worker. (The cursor had wrapped back to
+    // the shared lane when c's lane joined, so that lane goes first.)
+    const std::vector<std::string> want = { "a0", "a1", "c0", "a2",
+                                            "c1", "b0", "c2", "b1" };
+    EXPECT_EQ(h.order, want);
+    EXPECT_EQ(sched.counters().activeRequests, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -39,14 +38,22 @@ namespace
 // ResponseSequencer
 // ---------------------------------------------------------------------
 
-/** A submit hook that echoes ok responses without simulating. */
+/** An ok response echoing the request's id, without simulating. */
 SimResponse
-echoSubmit(const SimRequest &req, const SimService::RowFn & = nullptr)
+echoResponse(const SimRequest &req)
 {
     SimResponse resp;
     resp.id = req.id;
     resp.ok = true;
     return resp;
+}
+
+/** A start hook that answers every request on the caller. */
+void
+echoStart(const SimRequest &req, const SimService::RowFn &,
+          SimService::DoneFn onDone)
+{
+    onDone(echoResponse(req));
 }
 
 std::string
@@ -60,20 +67,23 @@ requestLine(const std::string &id)
 TEST(Sequencer, EmitsInInputOrderDespiteOutOfOrderCompletion)
 {
     std::vector<std::string> out;
+    std::vector<std::thread> late;
     ResponseSequencer::Config cfg;
-    cfg.submit = [](const SimRequest &req,
-                    const SimService::RowFn &) {
+    cfg.start = [&late](const SimRequest &req, const SimService::RowFn &,
+                        SimService::DoneFn onDone) {
         // The first request finishes last: emission order must still
         // be input order.
-        if (req.id == "slow")
+        if (req.id != "slow")
+            return onDone(echoResponse(req));
+        late.emplace_back([req, onDone] {
             std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        return echoSubmit(req);
+            onDone(echoResponse(req));
+        });
     };
     cfg.emit = [&out](const std::string &line) {
         out.push_back(line);
         return true;
     };
-    cfg.parallel = 4;
     {
         ResponseSequencer seq(cfg);
         seq.push(requestLine("slow"));
@@ -84,6 +94,8 @@ TEST(Sequencer, EmitsInInputOrderDespiteOutOfOrderCompletion)
         EXPECT_EQ(seq.emitted(), 3u);
         EXPECT_FALSE(seq.writeFailed());
     }
+    for (std::thread &t : late)
+        t.join();
     ASSERT_EQ(out.size(), 3u);
     EXPECT_NE(out[0].find("\"id\":\"slow\""), std::string::npos);
     EXPECT_NE(out[1].find("\"id\":\"fast1\""), std::string::npos);
@@ -94,7 +106,7 @@ TEST(Sequencer, MalformedLineSalvagesIdAndBlankLinesSkip)
 {
     std::vector<std::string> out;
     ResponseSequencer::Config cfg;
-    cfg.submit = echoSubmit;
+    cfg.start = echoStart;
     cfg.emit = [&out](const std::string &line) {
         out.push_back(line);
         return true;
@@ -126,43 +138,29 @@ TEST(Sequencer, MalformedLineSalvagesIdAndBlankLinesSkip)
 
 TEST(Sequencer, ShedsWithOverloadedWhenQueueFull)
 {
-    // One submitter parked inside submit; maxPending 1. Line A is
-    // in-flight, line B queued (fills the queue), line C must shed
-    // with a structured kOverloaded error in its slot, in order.
-    std::mutex m;
-    std::condition_variable cv;
-    bool release = false;
-    std::atomic<int> entered{ 0 };
-
+    // maxPending 2, and the test holds every completion: a and b are
+    // admitted and started, so c must shed with a structured
+    // kOverloaded error in its slot, in order.
+    std::vector<std::pair<SimRequest, SimService::DoneFn>> held;
     std::vector<std::string> out;
     ResponseSequencer::Config cfg;
-    cfg.submit = [&](const SimRequest &req,
-                     const SimService::RowFn &) {
-        entered.fetch_add(1);
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&] { return release; });
-        return echoSubmit(req);
+    cfg.start = [&held](const SimRequest &req, const SimService::RowFn &,
+                        SimService::DoneFn onDone) {
+        held.emplace_back(req, std::move(onDone));
     };
     cfg.emit = [&out](const std::string &line) {
         out.push_back(line);
         return true;
     };
-    cfg.parallel = 1;
-    cfg.maxPending = 1;
+    cfg.maxPending = 2;
     cfg.shedOnFull = true;
     ResponseSequencer seq(cfg);
 
     seq.push(requestLine("a"));
-    // Wait until the submitter holds "a" so the queue is empty again.
-    while (entered.load() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    seq.push(requestLine("b"));     // queued: pending = 1 = max
+    seq.push(requestLine("b"));     // admitted: pending = 2 = max
     seq.push(requestLine("c"));     // full: shed
-    {
-        std::lock_guard<std::mutex> lock(m);
-        release = true;
-    }
-    cv.notify_all();
+    for (auto &[req, onDone] : held)
+        onDone(echoResponse(req));
     seq.finish();
 
     EXPECT_EQ(seq.shedCount(), 1u);
@@ -173,26 +171,25 @@ TEST(Sequencer, ShedsWithOverloadedWhenQueueFull)
     EXPECT_NE(out[2].find("\"code\":\"overloaded\""), std::string::npos);
     EXPECT_NE(out[2].find("\"ok\":false"), std::string::npos);
     // Shed requests are never executed.
-    EXPECT_EQ(entered.load(), 2);
+    EXPECT_EQ(held.size(), 2u);
 }
 
 TEST(Sequencer, WriteFailureDrainsWithoutSimulating)
 {
-    // Delivery dies on the first emit. With one submitter and a
-    // 1-deep queue, at most two requests can already be in the
-    // pipeline; everything after must drain unexecuted.
+    // Delivery dies on the first emit. With a 1-deep admission bound,
+    // at most one request can be started before the failure lands;
+    // everything after must drain unexecuted.
     std::atomic<int> executed{ 0 };
     ResponseSequencer::Config cfg;
-    cfg.submit = [&](const SimRequest &req,
-                     const SimService::RowFn &) {
+    cfg.start = [&](const SimRequest &req, const SimService::RowFn &,
+                    SimService::DoneFn onDone) {
         executed.fetch_add(1);
         // Slow enough that the emitter's failure lands before the
         // pipeline can race far ahead.
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return echoSubmit(req);
+        onDone(echoResponse(req));
     };
     cfg.emit = [](const std::string &) { return false; };
-    cfg.parallel = 1;
     cfg.maxPending = 1;
     ResponseSequencer seq(cfg);
 
@@ -204,6 +201,60 @@ TEST(Sequencer, WriteFailureDrainsWithoutSimulating)
     EXPECT_EQ(seq.emitted(), 0u);
     EXPECT_LE(executed.load(), 3);  // in-flight + queued at failure
     EXPECT_LT(seq.accepted(), 20u); // pushes after failure are dropped
+}
+
+/** Threads of this process, from /proc/self/task. */
+size_t
+threadCount()
+{
+    size_t n = 0;
+    if (DIR *dir = ::opendir("/proc/self/task")) {
+        while (const dirent *entry = ::readdir(dir)) {
+            if (entry->d_name[0] != '.')
+                ++n;
+        }
+        ::closedir(dir);
+    }
+    return n;
+}
+
+TEST(Sequencer, StartsEveryAdmittedRequestOnTheReaderWithOneThread)
+{
+    // Eight pipelined requests, none completed: each is started as it
+    // is pushed — no thread parks per request, so the sequencer costs
+    // its emitter and nothing else.
+    const size_t before = threadCount();
+    ASSERT_GT(before, 0u);
+    std::vector<std::pair<SimRequest, SimService::DoneFn>> held;
+    std::vector<std::string> out;
+    ResponseSequencer::Config cfg;
+    cfg.start = [&held](const SimRequest &req, const SimService::RowFn &,
+                        SimService::DoneFn onDone) {
+        held.emplace_back(req, std::move(onDone));
+    };
+    cfg.emit = [&out](const std::string &line) {
+        out.push_back(line);
+        return true;
+    };
+    cfg.shedOnFull = true;
+    ResponseSequencer seq(cfg);
+    for (int i = 0; i < 8; ++i)
+        seq.push(requestLine(strfmt("h%d", i)));
+
+    EXPECT_EQ(held.size(), 8u);
+    EXPECT_EQ(seq.shedCount(), 0u);
+    EXPECT_EQ(threadCount(), before + 1);
+
+    // Completing them in reverse still emits them in order.
+    for (auto it = held.rbegin(); it != held.rend(); ++it)
+        it->second(echoResponse(it->first));
+    seq.finish();
+    ASSERT_EQ(out.size(), 8u);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_NE(out[static_cast<size_t>(i)].find(
+                      strfmt("\"id\":\"h%d\"", i)),
+                  std::string::npos);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -2,14 +2,17 @@
  * @file
  * Tests for the service API boundary (src/svc/): the SimRequest wire
  * format round-trips and rejects unknown fields / foreign versions,
- * the bench registry is consistent, SimService::submit returns
- * structured errors on every path that used to exit(), and concurrent
- * submissions from N client threads are byte-identical to a serial
- * replay.
+ * the bench registry is consistent, SimService::start answers
+ * structured errors on every path that used to exit() (on the caller,
+ * before it returns), its gauges return to zero once every request
+ * completed, and concurrent submissions from N client threads are
+ * byte-identical to a serial replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -526,6 +529,87 @@ TEST(SimService, ConcurrentSubmitsMatchSerialByteForByte)
 
     for (size_t i = 0; i < reqs.size(); ++i)
         EXPECT_EQ(concurrent[i], serial[i]) << "request " << i;
+}
+
+TEST(SimService, StartAnswersABadRequestOnTheCaller)
+{
+    SimService service;
+    SimRequest req = tinyRequest("bad");
+    req.workloads = { "nonsense" };
+    bool answered = false;
+    std::thread::id thread;
+    SimResponse resp;
+    service.start(req, service.newLane(), nullptr, [&](SimResponse r) {
+        answered = true;
+        thread = std::this_thread::get_id();
+        resp = std::move(r);
+    });
+    // Validation fails before anything is queued: the completion ran
+    // inside start(), on this thread.
+    ASSERT_TRUE(answered);
+    EXPECT_EQ(thread, std::this_thread::get_id());
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.id, "bad");
+    EXPECT_EQ(resp.errorCode, errc::kUnknownWorkload);
+    EXPECT_EQ(service.inFlight(), 0);
+}
+
+TEST(SimService, GaugesReturnToZeroAfterEveryCompletion)
+{
+    SimService service;
+    // A sweep, a deal naming two of its points, a duplicate of the
+    // sweep and a bad request; the deal's points count as pending
+    // until delivered.
+    SimRequest deal = tinyRequest("deal");
+    deal.points = { "paper/MMX/1thr/perfect/RR",
+                    "paper/MOM/2thr/perfect/RR" };
+    SimRequest bad = tinyRequest("bad");
+    bad.shardIndex = 3;
+    const std::vector<SimRequest> reqs = { tinyRequest("sweep"), deal,
+                                           tinyRequest("again"), bad };
+
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<SimResponse> done;
+    const driver::PointScheduler::Lane lane = service.newLane();
+    auto start = [&](const SimRequest &req) {
+        service.start(req, lane, nullptr, [&](SimResponse resp) {
+            std::lock_guard<std::mutex> lock(m);
+            done.push_back(std::move(resp));
+            cv.notify_all();
+        });
+    };
+    auto awaitDone = [&](size_t n) {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return done.size() == n; });
+    };
+    auto expectIdle = [&] {
+        EXPECT_EQ(service.inFlight(), 0);
+        EXPECT_EQ(service.pendingPoints(), 0);
+        EXPECT_EQ(service.counters().activeRequests, 0);
+    };
+
+    // One at a time, then all four started before any completes.
+    size_t expected = 0;
+    for (const SimRequest &req : reqs) {
+        start(req);
+        awaitDone(++expected);
+        expectIdle();
+    }
+    for (const SimRequest &req : reqs)
+        start(req);
+    awaitDone(2 * reqs.size());
+    expectIdle();
+
+    size_t ok = 0;
+    for (const SimResponse &resp : done) {
+        if (resp.ok)
+            ++ok;
+        if (resp.id == "deal") {
+            EXPECT_EQ(resp.rows.size(), 2u);
+        }
+    }
+    EXPECT_EQ(ok, 6u);
 }
 
 TEST(SimService, BenchRequestRunsTheRegisteredGrid)
