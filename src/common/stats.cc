@@ -12,6 +12,13 @@ StatGroup::id(const std::string &key)
         if (_keys[i] == key)
             return static_cast<StatId>(i);
     }
+    if (_keys.empty()) {
+        // A component registers its few dozen counters at construction,
+        // once per simulated point: one allocation per column instead
+        // of a doubling series.
+        _keys.reserve(kReserve);
+        _values.reserve(kReserve);
+    }
     _keys.push_back(key);
     _values.push_back(0);
     return static_cast<StatId>(_values.size() - 1);

@@ -84,6 +84,9 @@ class StatGroup
     const std::string &keyAt(StatId id) const { return _keys[id]; }
 
   private:
+    /** Counters made room for at the first registration. */
+    static constexpr size_t kReserve = 32;
+
     std::string _name;
     std::vector<std::string> _keys;
     std::vector<uint64_t> _values;

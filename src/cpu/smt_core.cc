@@ -76,16 +76,21 @@ SmtCore::SmtCore(const CoreConfig &cfg, mem::MemorySystem &mem)
         panic(strfmt("numThreads=%d outside the supported 1..8 hardware "
                      "contexts", cfg.numThreads));
 
-    // Structure-of-arrays ROB state: one arena carries the hot columns
-    // for every (thread, window slot), the per-thread rename tables and
-    // the fetch-ring buffers. Storage per thread is rounded up to a
-    // power of two so position lookup is a mask; the logical capacity
-    // stays exactly windowPerThread (dispatch checks tail - head
-    // against the configured window).
+    // Structure-of-arrays ROB state: one arena carries the hot columns,
+    // wakeup lists and cold payload for every (thread, window slot),
+    // the per-thread rename tables and the fetch-ring buffers. Storage
+    // per thread is rounded up to a power of two so position lookup is
+    // a mask; the logical capacity stays exactly windowPerThread
+    // (dispatch checks tail - head against the configured window).
     uint64_t robSize = pow2Ceil(static_cast<uint64_t>(cfg.windowPerThread));
     _robMask = robSize - 1;
     _numSlots = static_cast<size_t>(cfg.numThreads) *
                 static_cast<size_t>(robSize);
+    if (_numSlots > kWaiterSlotMask + 1)
+        panic(strfmt("windowPerThread=%d x %d threads exceeds the %llu "
+                     "slots a wakeup record can name", cfg.windowPerThread,
+                     cfg.numThreads,
+                     static_cast<unsigned long long>(kWaiterSlotMask + 1)));
     size_t fqCap = static_cast<size_t>(
         pow2Ceil(static_cast<uint64_t>(cfg.fetchQueueDepth)));
 
@@ -97,32 +102,48 @@ SmtCore::SmtCore(const CoreConfig &cfg, mem::MemorySystem &mem)
     };
     size_t oPos = carve(_numSlots * sizeof(uint64_t));
     size_t oHot = carve(_numSlots * sizeof(SlotHot));
+    size_t oCount = carve(_numSlots * sizeof(uint32_t));
+    // Everything carved above is read before it is written and starts
+    // zeroed; the rest is written first (rename tables when a program
+    // attaches, ring entries on push, waiter records on registration,
+    // the cold payload at dispatch).
+    size_t zeroed = off;
     size_t oRename = carve(static_cast<size_t>(cfg.numThreads) * 256 *
                            sizeof(int64_t));
     size_t oRings = carve(static_cast<size_t>(cfg.numThreads) * fqCap *
                           sizeof(FetchedInst));
+    size_t oWait = carve(_numSlots * kInlineWaiters * sizeof(Waiter));
+    size_t oCold = carve(_numSlots * sizeof(RobCold));
 
-    _arenaStore = std::make_unique<std::byte[]>(off + 64);
+    // Default-initialised: only the prefix below is zero-filled.
+    _arenaStore.reset(new std::byte[off + 64]);
     std::byte *base = _arenaStore.get();
     base += (64 - reinterpret_cast<uintptr_t>(base) % 64) % 64;
-    // All-zero bytes are the correct initial value for every column
-    // (pos 0, zero hot record = cycle 0 + gen 0 + State::Empty, null
-    // fetch records); the rename tables are refilled with -1 below.
-    std::memset(base, 0, off);
+    // All-zero bytes are the correct initial value for these columns
+    // (pos 0, zero hot record = cycle 0 + gen 0 + State::Empty, no
+    // registered waiters).
+    std::memset(base, 0, zeroed);
     _colPos = reinterpret_cast<uint64_t *>(base + oPos);
     _hot = reinterpret_cast<SlotHot *>(base + oHot);
+    _waitCount = reinterpret_cast<uint32_t *>(base + oCount);
+    _waitInline = reinterpret_cast<Waiter *>(base + oWait);
+    _cold = reinterpret_cast<RobCold *>(base + oCold);
     int64_t *renameBase = reinterpret_cast<int64_t *>(base + oRename);
     FetchedInst *ringBase = reinterpret_cast<FetchedInst *>(base + oRings);
 
-    _cold.assign(_numSlots, RobCold{});
-    _waiters.assign(_numSlots, {});
+    // Dispatch gates on each queue's configured capacity, so these
+    // never reallocate while a point runs.
+    _intQ.reserve(static_cast<size_t>(std::max(cfg.intQueue, 0)));
+    _memQ.reserve(static_cast<size_t>(std::max(cfg.memQueue, 0)));
+    _fpQ.reserve(static_cast<size_t>(std::max(cfg.fpQueue, 0)));
+    _simdQ.reserve(static_cast<size_t>(std::max(cfg.simdQueue, 0)));
+    _activeStreams.reserve(static_cast<size_t>(std::max(cfg.memQueue, 0)));
 
     for (int tid = 0; tid < cfg.numThreads; ++tid) {
         Thread &t = _threads[static_cast<size_t>(tid)];
         t.slotBase = static_cast<uint32_t>(
             static_cast<uint64_t>(tid) * robSize);
         t.rename = renameBase + static_cast<size_t>(tid) * 256;
-        std::fill(t.rename, t.rename + 256, -1);
         t.fetchQ.init(ringBase + static_cast<size_t>(tid) * fqCap, fqCap);
     }
 
@@ -216,7 +237,7 @@ SmtCore::physPoolOf(isa::RegRef reg) const
 // ---------------------------------------------------------------------
 
 int
-SmtCore::trackProducers(Thread &t, size_t slot, uint64_t pos, uint64_t gen)
+SmtCore::trackProducers(Thread &t, size_t slot, uint64_t gen)
 {
     int pending = 0;
     uint64_t ready = 0;
@@ -233,7 +254,7 @@ SmtCore::trackProducers(Thread &t, size_t slot, uint64_t pos, uint64_t gen)
         if (metaState(h.meta) == State::Done) {
             ready = std::max(ready, h.when);
         } else {
-            _waiters[sp].push_back({ pos, gen });
+            addWaiter(sp, (gen << kWaiterGenShift) | slot);
             pending += 1;
         }
     }
@@ -242,26 +263,56 @@ SmtCore::trackProducers(Thread &t, size_t slot, uint64_t pos, uint64_t gen)
 }
 
 void
-SmtCore::wakeDependents(Thread &t, size_t slot)
+SmtCore::wakeOne(Waiter w, uint64_t done)
 {
-    std::vector<Waiter> &ws = _waiters[slot];
+    size_t sc = static_cast<size_t>(w & kWaiterSlotMask);
+    uint64_t m = _hot[sc].meta;
+    // Generations are unique per allocation, so a tag match proves
+    // the registration still names this slot's current instruction;
+    // it must then also still be waiting (only a Dispatched slot can
+    // carry a pending count — nops carry no sources).
+    if (metaGen(m) != (w >> kWaiterGenShift) ||
+        metaState(m) != State::Dispatched)
+        return;         // consumer was squashed since registering
+    _hot[sc].when = std::max(_hot[sc].when, done);
+    m -= kMetaPendOne;
+    _hot[sc].meta = m;
+    if (metaPending(m) == 0)
+        relaxQueueBound(sc);
+}
+
+void
+SmtCore::wakeDependents(size_t slot)
+{
+    uint32_t n = _waitCount[slot];
+    if (n == 0)
+        return;
+    _waitCount[slot] = 0;
     uint64_t done = _hot[slot].when;
-    for (const Waiter &w : ws) {
-        size_t sc = slotOf(t, w.pos);
-        uint64_t m = _hot[sc].meta;
-        // Generations are unique per allocation, so a tag match proves
-        // the registration still names this slot's current instruction;
-        // it must then also still be waiting (only a Dispatched slot
-        // can carry a pending count — nops carry no sources).
-        if (metaGen(m) != w.gen || metaState(m) != State::Dispatched)
-            continue;       // consumer was squashed since registering
-        _hot[sc].when = std::max(_hot[sc].when, done);
-        m -= kMetaPendOne;
-        _hot[sc].meta = m;
-        if (metaPending(m) == 0)
-            relaxQueueBound(sc);
+    const Waiter *inl = _waitInline + slot * kInlineWaiters;
+    for (uint32_t i = 0, k = std::min(n, kInlineWaiters); i < k; ++i)
+        wakeOne(inl[i], done);
+    if (n > kInlineWaiters)
+        dropSpilled(slot, &done);
+}
+
+void
+SmtCore::spillWaiter(size_t slot, Waiter w)
+{
+    _waitSpill.push_back({ static_cast<uint32_t>(slot), w });
+}
+
+void
+SmtCore::dropSpilled(size_t slot, const uint64_t *done)
+{
+    size_t keep = 0;
+    for (const SpilledWaiter &sw : _waitSpill) {
+        if (sw.producer != slot)
+            _waitSpill[keep++] = sw;
+        else if (done)
+            wakeOne(sw.waiter, *done);
     }
-    ws.clear();
+    _waitSpill.resize(keep);
 }
 
 void
@@ -368,18 +419,48 @@ SmtCore::debugLayoutIssue() const
                           static_cast<long long>(oqLive[tid]));
     }
 
-    // Wakeup registrations never run ahead of the owning thread's
-    // generation source (a tag from the future could resurrect).
-    for (size_t s = 0; s < _numSlots; ++s) {
+    // Wakeup registrations name a slot of the producer's own thread and
+    // never run ahead of that thread's generation source (a tag from
+    // the future could resurrect); each slot's spilled records number
+    // exactly its registrations past the inline room.
+    std::vector<uint32_t> spilled(_numSlots, 0);
+    for (const SpilledWaiter &sw : _waitSpill) {
+        if (sw.producer >= _numSlots)
+            return strfmt("spilled waiter names slot %u", sw.producer);
+        spilled[sw.producer] += 1;
+    }
+    auto checkWaiter = [this, robSize](size_t s, Waiter w) {
         int tid = static_cast<int>(s / robSize);
         const Thread &t = _threads[static_cast<size_t>(tid)];
-        for (const Waiter &w : _waiters[s]) {
-            if (w.gen == 0 || w.gen > (t.genTick & kMetaGenMask))
-                return strfmt("t%d slot %zu: waiter gen %llu outside "
-                              "(0, %llu]", tid, s,
-                              static_cast<unsigned long long>(w.gen),
-                              static_cast<unsigned long long>(t.genTick));
+        uint64_t gen = w >> kWaiterGenShift;
+        size_t sc = static_cast<size_t>(w & kWaiterSlotMask);
+        if (sc / robSize != s / robSize)
+            return strfmt("t%d slot %zu: waiter slot %zu in another "
+                          "thread", tid, s, sc);
+        if (gen == 0 || gen > (t.genTick & kMetaGenMask))
+            return strfmt("t%d slot %zu: waiter gen %llu outside "
+                          "(0, %llu]", tid, s,
+                          static_cast<unsigned long long>(gen),
+                          static_cast<unsigned long long>(t.genTick));
+        return std::string();
+    };
+    for (size_t s = 0; s < _numSlots; ++s) {
+        uint32_t n = _waitCount[s];
+        uint32_t extra = n > kInlineWaiters ? n - kInlineWaiters : 0;
+        if (spilled[s] != extra)
+            return strfmt("slot %zu: %u spilled waiters, count says %u", s,
+                          spilled[s], extra);
+        for (uint32_t i = 0; i < n && i < kInlineWaiters; ++i) {
+            std::string issue =
+                checkWaiter(s, _waitInline[s * kInlineWaiters + i]);
+            if (!issue.empty())
+                return issue;
         }
+    }
+    for (const SpilledWaiter &sw : _waitSpill) {
+        std::string issue = checkWaiter(sw.producer, sw.waiter);
+        if (!issue.empty())
+            return issue;
     }
     return std::string();
 }
@@ -635,7 +716,6 @@ SmtCore::streamStage()
         if (budget <= 0)
             break;
         IqEntry ref = _activeStreams[i];
-        Thread &t = _threads[static_cast<size_t>(ref.tid)];
         size_t s = ref.slot;
         if (metaGen(_hot[s].meta) != ref.gen ||
             metaState(_hot[s].meta) != State::Executing) {
@@ -666,7 +746,7 @@ SmtCore::streamStage()
         if (cold.elemsIssued >= total) {
             setMetaState(s, State::Done);
             _hot[s].when = std::max(cold.streamReady, _now + 1);
-            wakeDependents(t, s);
+            wakeDependents(s);
             _activeStreams.erase(_activeStreams.begin() +
                                  static_cast<long>(i));
             continue;
@@ -814,7 +894,7 @@ SmtCore::issueFromQueue(std::vector<IqEntry> &queue, int width,
         if (tryExecute(ref.tid, s, kind)) {
             Thread &t = _threads[static_cast<size_t>(ref.tid)];
             if (metaState(_hot[s].meta) == State::Done)
-                wakeDependents(t, s);
+                wakeDependents(s);
             t.iqCount -= 1;
             t.oqCount -= _cold[s].inst->eqInsts();
             _stats.at(_ctrIssued) += 1;
@@ -920,9 +1000,8 @@ SmtCore::dispatchStage()
         }
         bool isNop = f.inst->opClass() == OpClass::Nop;
 
-        // Allocate and rename: reset the recycled slot's columns and
-        // cold payload (the waiter vector is cleared, not replaced, so
-        // it keeps its capacity). The metadata word — generation,
+        // Allocate and rename: reset the recycled slot's columns, cold
+        // payload and wakeup list. The metadata word — generation,
         // pending count, queue kind, state — is assembled in registers
         // and written once.
         uint64_t pos = t.tail++;
@@ -936,14 +1015,14 @@ SmtCore::dispatchStage()
         cold.elemsIssued = 0;
         cold.streamReady = 0;
         uint64_t gen = ++t.genTick & kMetaGenMask;
-        _waiters[s].clear();
+        clearWaiters(s);
 
         isa::RegRef srcs[3] = { f.inst->src0, f.inst->src1, f.inst->src2 };
         for (int sidx = 0; sidx < 3; ++sidx) {
             cold.prod[sidx] = isa::isValidReg(srcs[sidx])
                 ? t.rename[srcs[sidx]] : -1;
         }
-        int pending = trackProducers(t, s, pos, gen);
+        int pending = trackProducers(t, s, gen);
         if (isa::isValidReg(f.inst->dst)) {
             cold.prevWriter = t.rename[f.inst->dst];
             t.rename[f.inst->dst] = static_cast<int64_t>(pos);

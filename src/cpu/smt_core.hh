@@ -42,6 +42,17 @@
  *    tag, which makes records from squashed (flushed) consumers inert
  *    even after their ROB slot is recycled.
  *
+ *  - Wakeup lists live in the core arena, not in per-slot heap
+ *    vectors: each slot has a registration count in a dense column and
+ *    room for kInlineWaiters 8-byte records (48-bit consumer generation
+ *    plus the consumer's slot). Nearly every producer has at most a
+ *    few consumers; registrations beyond the inline room go to one
+ *    core-wide spill vector tagged with the producer's slot, which a
+ *    wakeup scans only when its count says it spilled. Wake order does
+ *    not affect results (the updates are a max, a decrement and a min,
+ *    which commute), and a running point allocates here only when the
+ *    spill vector grows.
+ *
  *  - Power-of-two ROB storage: the circular reorder buffer is sized to
  *    the next power of two above the configured window so position
  *    lookup is a mask, not a modulo. Logical capacity is still exactly
@@ -138,27 +149,40 @@ class SmtCore
         Done,           ///< result ready at doneCycle
     };
 
-    /** One wakeup registration: a consumer waiting on a producer. */
-    struct Waiter
+    /**
+     * One wakeup registration, a consumer waiting on a producer of the
+     * same thread: [63:16] the consumer's generation at registration,
+     * [15:0] its column slot.
+     */
+    using Waiter = uint64_t;
+    static constexpr int kWaiterGenShift = 16;
+    static constexpr uint64_t kWaiterSlotMask = 0xffff;
+    /** Registrations a slot holds in the arena before spilling. */
+    static constexpr uint32_t kInlineWaiters = 4;
+
+    /** A registration past a producer's inline room. */
+    struct SpilledWaiter
     {
-        uint64_t pos;       ///< consumer ROB position
-        uint64_t gen;       ///< consumer generation at registration
+        uint32_t producer;  ///< producer's column slot
+        Waiter waiter;
     };
 
     /**
      * Per-slot payload the per-cycle scans never touch: read/written
      * once per dispatch, issue or commit of that instruction. The hot
-     * scheduling state lives in the flat columns (_colPos etc.).
+     * scheduling state lives in the flat columns (_colPos etc.). No
+     * initialisers: dispatch writes every field before anything reads
+     * it, so the arena leaves these uninitialised.
      */
     struct RobCold
     {
-        const isa::TraceInst *inst = nullptr;   ///< into the thread's trace
-        int64_t prod[3] = { -1, -1, -1 };       ///< producer positions
-        int64_t prevWriter = -1;    ///< for rename rollback on flush
-        uint64_t streamReady = 0;   ///< max element completion
-        uint16_t elemsIssued = 0;   ///< stream memory progress
-        bool mispredicted = false;
-        bool storeDone = false;     ///< scalar store performed at commit
+        const isa::TraceInst *inst;     ///< into the thread's trace
+        int64_t prod[3];                ///< producer positions, -1 = none
+        int64_t prevWriter;             ///< for rename rollback on flush
+        uint64_t streamReady;           ///< max element completion
+        uint16_t elemsIssued;           ///< stream memory progress
+        bool mispredicted;
+        bool storeDone;                 ///< scalar store performed at commit
     };
 
     /**
@@ -341,9 +365,35 @@ class SmtCore
      * producers, and return the pending-producer count for the
      * dispatcher's metadata pack.
      */
-    int trackProducers(Thread &t, size_t slot, uint64_t pos, uint64_t gen);
+    int trackProducers(Thread &t, size_t slot, uint64_t gen);
+    /** Register @p w on producer @p slot's wakeup list. */
+    void
+    addWaiter(size_t slot, Waiter w)
+    {
+        uint32_t n = _waitCount[slot]++;
+        if (n < kInlineWaiters)
+            _waitInline[slot * kInlineWaiters + n] = w;
+        else
+            spillWaiter(slot, w);
+    }
+    /** Empty slot @p slot's wakeup list (the slot is being reused). */
+    void
+    clearWaiters(size_t slot)
+    {
+        if (_waitCount[slot] > kInlineWaiters)
+            dropSpilled(slot, nullptr);
+        _waitCount[slot] = 0;
+    }
     /** Producer @p slot just reached Done: wake registered consumers. */
-    void wakeDependents(Thread &t, size_t slot);
+    void wakeDependents(size_t slot);
+    /** Deliver producer completion @p done to one registration. */
+    void wakeOne(Waiter w, uint64_t done);
+    // The spill paths run for about 1% of wakes; keeping them out of
+    // line keeps the common paths' register use at the inline loop's.
+    [[gnu::cold]] void spillWaiter(size_t slot, Waiter w);
+    /** Remove producer @p slot's spilled records, first delivering
+     *  @p done (when given) to each. */
+    [[gnu::cold]] void dropSpilled(size_t slot, const uint64_t *done);
     /** Slot @p slot became ready: lower its queue's earliest-ready bound. */
     void
     relaxQueueBound(size_t slot)
@@ -380,19 +430,22 @@ class SmtCore
     // ---- structure-of-arrays ROB state ----
     //
     // One slot per (thread, window entry): slot = thread.slotBase +
-    // (pos & _robMask). The hot scheduling columns below plus every
-    // thread's rename table and fetch-ring buffer are carved from
-    // _arenaStore, one contiguous cache-aligned allocation, so a
-    // simulation's per-cycle working set is dense and prefetchable.
+    // (pos & _robMask). The hot scheduling columns below, the wakeup
+    // lists, the cold payload, every thread's rename table and
+    // fetch-ring buffer are carved from _arenaStore, one contiguous
+    // cache-aligned allocation, so a simulation's per-cycle working
+    // set is dense and prefetchable. Only the columns read before
+    // they are written are zeroed at construction.
     std::unique_ptr<std::byte[]> _arenaStore;
     uint64_t *_colPos = nullptr;    ///< absolute position, ~0ull = squashed
     SlotHot *_hot = nullptr;        ///< when + meta, see SlotHot
+    uint32_t *_waitCount = nullptr; ///< registrations per producer slot
+    Waiter *_waitInline = nullptr;  ///< kInlineWaiters per slot
+    RobCold *_cold = nullptr;       ///< cold payload, parallel to columns
     uint64_t _robMask = 0;          ///< per-thread window storage mask
     size_t _numSlots = 0;
-    // Cold payload and wakeup lists, parallel to the columns. Waiter
-    // vectors are recycled with the slot so their capacity survives.
-    std::vector<RobCold> _cold;
-    std::vector<std::vector<Waiter>> _waiters;
+    /** Registrations past a slot's inline room (rare; see above). */
+    std::vector<SpilledWaiter> _waitSpill;
 
     /**
      * Per-queue lower bound (indexed by QueueKind) on the earliest

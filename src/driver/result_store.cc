@@ -1,9 +1,12 @@
 #include "driver/result_store.hh"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -313,39 +316,135 @@ specCost(const ExperimentSpec &spec, int workloadPrograms)
     return cost;
 }
 
+/**
+ * The process-wide appender of one store file, shared by every
+ * ResultStore bound to it. Entries live in a registry keyed by the
+ * canonical directory and are never removed (the set of directories a
+ * process binds is small, and a stable address is what lets stores
+ * hold the pointer); the descriptor, though, is open only while some
+ * store is bound, so a daemon serving many request-private cacheDirs
+ * holds no descriptor for a finished request.
+ */
+struct StoreAppender
+{
+    explicit StoreAppender(std::string file) : path(std::move(file)) {}
+
+    const std::string path;     ///< canonical <dir>/results.jsonl
+    Mutex mutex;
+    int fd GUARDED_BY(mutex) = -1;      ///< O_APPEND, opened on first put
+    int bound GUARDED_BY(mutex) = 0;    ///< stores bound to this file
+    /** A short write left a partial line: nobody appends to this file
+     *  again, or the truncated tail would become mid-file corruption. */
+    bool broken GUARDED_BY(mutex) = false;
+    /** Identity of the file last opened, to notice it was replaced. */
+    dev_t dev GUARDED_BY(mutex) = 0;
+    ino_t ino GUARDED_BY(mutex) = 0;
+};
+
 namespace
 {
 
-/**
- * The process-wide append lock for one store file, keyed by the
- * canonical (realpath) directory so "cache" and "./cache" — or two
- * ResultStore instances different requests opened on one --cache-dir —
- * resolve to the same mutex. Entries are never removed: the set of
- * distinct cache dirs a process touches is tiny, and a stable address
- * is what lets stores cache the pointer.
- */
-Mutex &
-appendLockFor(const std::string &dir)
+/** Bind one more store to @p dir's appender. */
+StoreAppender &
+bindAppender(const std::string &dir)
 {
     // registry is guarded by registryMutex; every access below is
     // inside one MutexLock hold, so the guard needs no attribute (and
-    // GUARDED_BY is not specified for function-local statics).
+    // GUARDED_BY is not specified for function-local statics). It is
+    // never destroyed: a store destroyed during static destruction
+    // still unbinds from its appender.
     static Mutex registryMutex;
-    static std::unordered_map<std::string, std::unique_ptr<Mutex>>
-        registry;
+    static auto &registry = *new std::unordered_map<
+        std::string, std::unique_ptr<StoreAppender>>();
     std::string key = dir;
     if (char *canon = ::realpath(dir.c_str(), nullptr)) {
         key.assign(canon);
         std::free(canon);
     }
-    MutexLock lock(registryMutex);
-    std::unique_ptr<Mutex> &slot = registry[key];
-    if (!slot)
-        slot = std::make_unique<Mutex>();
-    return *slot;
+    StoreAppender *app = nullptr;
+    {
+        MutexLock lock(registryMutex);
+        std::unique_ptr<StoreAppender> &slot = registry[key];
+        if (!slot) {
+            slot = std::make_unique<StoreAppender>(
+                key + "/" + ResultStore::kFileName);
+        }
+        app = slot.get();
+    }
+    MutexLock lock(app->mutex);
+    ++app->bound;
+    // A file deleted or replaced since it was last opened (a wiped and
+    // recreated directory) is a fresh file: append to the new one.
+    struct stat st {};
+    if (::stat(app->path.c_str(), &st) != 0 || st.st_dev != app->dev ||
+        st.st_ino != app->ino) {
+        if (app->fd >= 0)
+            ::close(app->fd);
+        app->fd = -1;
+        app->broken = false;
+    }
+    return *app;
+}
+
+/** Undo one bindAppender(); the last store out closes the file. */
+void
+unbindAppender(StoreAppender *app)
+{
+    if (!app)
+        return;
+    MutexLock lock(app->mutex);
+    --app->bound;
+    if (app->bound == 0 && app->fd >= 0) {
+        ::close(app->fd);
+        app->fd = -1;
+    }
+}
+
+/** Append @p line (one whole row line) with one write(). */
+void
+appendLine(StoreAppender &app, const std::string &line)
+{
+    MutexLock lock(app.mutex);
+    if (app.broken || app.bound == 0)
+        return;
+    if (app.fd < 0) {
+        app.fd = ::open(app.path.c_str(),
+                        O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0666);
+        if (app.fd < 0) {
+            warn("result store: cannot append to " + app.path);
+            return;
+        }
+        struct stat st {};
+        if (::fstat(app.fd, &st) == 0) {
+            app.dev = st.st_dev;
+            app.ino = st.st_ino;
+        }
+    }
+    ssize_t n = 0;
+    do {
+        n = ::write(app.fd, line.data(), line.size());
+    } while (n < 0 && errno == EINTR);
+    if (n == static_cast<ssize_t>(line.size()))
+        return;
+    // A partial line may now be on disk: stop every store bound to
+    // this file (see StoreAppender::broken).
+    app.broken = true;
+    warn("result store: short write to " + app.path +
+         "; disabling persistence for this file");
 }
 
 } // namespace
+
+ResultStore::~ResultStore()
+{
+    StoreAppender *app = nullptr;
+    {
+        MutexLock lock(_mutex);
+        app = _appender;
+        _appender = nullptr;
+    }
+    unbindAppender(app);
+}
 
 bool
 ResultStore::openDir(const std::string &dir)
@@ -353,12 +452,15 @@ ResultStore::openDir(const std::string &dir)
     if (dir.empty() || !makeDirs(dir))
         return false;
     std::string path = dir + "/" + kFileName;
-    Mutex *appendLock = &appendLockFor(dir);
+    StoreAppender *app = &bindAppender(dir);
+    StoreAppender *previous = nullptr;
     {
         MutexLock lock(_mutex);
         _path = path;
-        _appendLock = appendLock;
+        previous = _appender;
+        _appender = app;
     }
+    unbindAppender(previous);
     std::FILE *f = std::fopen(path.c_str(), "r");
     if (!f)
         return true;    // nothing persisted yet: an empty, bound store
@@ -471,11 +573,7 @@ void
 ResultStore::insert(const std::string &key, const ResultRow &row,
                     bool replace)
 {
-    // Snapshot the path *and* the append lock together: a concurrent
-    // openDir() may rebind both, and appending to the new path under
-    // the old file's lock would lose the whole-line guarantee.
-    std::string path;
-    Mutex *appendLock = nullptr;
+    StoreAppender *app = nullptr;
     {
         MutexLock lock(_mutex);
         auto [it, inserted] = _rows.try_emplace(key, row);
@@ -484,39 +582,15 @@ ResultStore::insert(const std::string &key, const ResultRow &row,
                 return;
             it->second = row;
         }
-        path = _path;
-        appendLock = _appendLock;
+        app = _appender;
     }
-    if (path.empty())
+    if (!app)
         return;
     std::string line;
     line.reserve(kResultRowBytesHint + key.size());
     appendStoreLine(line, key, row, true);
     line += '\n';
-    bool shortWrite;
-    {
-        // One whole line per lock hold: concurrent puts — from this
-        // store's workers or a sibling store another request bound to
-        // the same file — append whole lines, never interleaved bytes.
-        MutexLock appendHold(*appendLock);
-        std::FILE *f = std::fopen(path.c_str(), "a");
-        if (!f) {
-            warn("result store: cannot append to " + path);
-            return;
-        }
-        size_t written = std::fwrite(line.data(), 1, line.size(), f);
-        shortWrite = std::fclose(f) != 0 || written != line.size();
-    }
-    if (shortWrite) {
-        // A partial line may now be on disk. Stop appending: another
-        // put would continue on the same line and turn a tolerable
-        // truncated *tail* into corruption in the *middle* of the
-        // file, which loadFile rightly refuses.
-        warn("result store: short write to " + path +
-             "; disabling persistence for this run");
-        MutexLock lock(_mutex);
-        _path.clear();
-    }
+    appendLine(*app, line);
 }
 
 size_t

@@ -124,27 +124,48 @@ std::string resultCacheKey(const ExperimentSpec &spec,
  */
 double specCost(const ExperimentSpec &spec, int workloadPrograms = 8);
 
+/** The process-wide appender of one store file (result_store.cc). */
+struct StoreAppender;
+
 /**
  * Keyed row storage with optional JSON-lines persistence. openDir()
- * binds the store to `<dir>/results.jsonl` (created on demand): rows
- * already there become lookup hits and every put() appends. loadFile()
- * merges another store's file read-only — the mechanism behind
- * --merge. Later lines win, so appending the same key twice is
+ * binds the store to `<dir>/results.jsonl` (created on the first
+ * put): rows already there become lookup hits and every put() appends.
+ * loadFile() merges another store's file read-only — the mechanism
+ * behind --merge. Later lines win, so appending the same key twice is
  * harmless.
+ *
+ * Appends: every store bound to one file — found by its *canonical*
+ * directory, so "cache" and "./cache" are one file — shares one
+ * process-wide appender. It holds an O_APPEND descriptor from the
+ * first put until the last bound store is destroyed or rebinds, and
+ * each put writes its whole line with one write() under the
+ * appender's lock, so lines never interleave within the process and,
+ * on a local filesystem, not across processes either. A short write
+ * (disk full, file size limit) leaves a partial line at the end of
+ * the file; the appender then stops every store bound to that file,
+ * so the damage stays a truncated tail, which loadFile() tolerates.
+ * Binding checks the file is still the one the appender last held:
+ * a directory wiped and re-bound appends to its new file. Rows put
+ * while the file is deleted under a bound store go to the unlinked
+ * file.
  *
  * Concurrency: put(), find() and size() are thread-safe — concurrent
  * requests sharing one store (the serve daemon's --cache-dir) persist
- * distinct points from different workers by design. File appends
- * additionally serialize on a process-wide per-file lock keyed by the
- * *canonical* path, so two in-process ResultStore instances that a
- * pair of requests opened on the same --cache-dir cannot interleave
- * a line. openDir()/loadFile() and the pointer-returning lookup() are
- * single-threaded-setup APIs: call them before sharing the store.
+ * distinct points from different workers by design. openDir()/
+ * loadFile() and the pointer-returning lookup() are single-threaded-
+ * setup APIs: call them before sharing the store.
  */
 class ResultStore
 {
   public:
     static constexpr const char *kFileName = "results.jsonl";
+
+    ResultStore() = default;
+    /** Unbinds from the appender (closing its descriptor if last). */
+    ~ResultStore();
+    ResultStore(const ResultStore &) = delete;
+    ResultStore &operator=(const ResultStore &) = delete;
 
     /** Create @p dir if needed, load its store file, append to it. */
     bool openDir(const std::string &dir);
@@ -185,7 +206,8 @@ class ResultStore
         return _rows.size();
     }
 
-    /** Append-file path; empty for an in-memory store. */
+    /** Append-file path as openDir() spelled it; empty for an
+     *  in-memory store. */
     std::string path() const
     {
         momsim::MutexLock lock(_mutex);
@@ -200,10 +222,9 @@ class ResultStore
     mutable momsim::Mutex _mutex;
     std::unordered_map<std::string, ResultRow> _rows GUARDED_BY(_mutex);
     std::string _path GUARDED_BY(_mutex);
-    /** Per-canonical-file process-wide append lock; which lock this
-     *  points at is guarded by _mutex (openDir rebinds it), the lock
-     *  itself is a capability in its own right. */
-    momsim::Mutex *_appendLock GUARDED_BY(_mutex) = nullptr;
+    /** The bound file's appender; which one this points at is guarded
+     *  by _mutex (openDir rebinds it), its state by its own lock. */
+    StoreAppender *_appender GUARDED_BY(_mutex) = nullptr;
 };
 
 /** One point of a planned sweep. */

@@ -28,7 +28,10 @@ Cache::Cache(const CacheConfig &cfg)
       _lineShift(log2u(cfg.lineBytes)),
       _numSets(cfg.sizeBytes / (cfg.lineBytes * cfg.ways)),
       _bankMask(isPow2(cfg.banks) ? cfg.banks - 1 : 0),
-      _lines(static_cast<size_t>(_numSets) * cfg.ways),
+      // Default-initialised (no zero fill): setOf() initialises a set
+      // the first time it is reached.
+      _lines(new Line[static_cast<size_t>(_numSets) * cfg.ways]),
+      _setInit((_numSets + 63) / 64, 0),
       _mshrs(cfg.numMshrs),
       _wb(cfg.writeBufferEntries),
       _banks(cfg.banks),
@@ -67,36 +70,13 @@ Cache::Cache(const CacheConfig &cfg)
     _ctrMshrWait = _stats.id("mshrWait");
 }
 
-Cache::Line *
-Cache::findLine(uint64_t addr)
+void
+Cache::initSet(uint32_t idx)
 {
-    uint64_t tag = lineAddr(addr);
-    Line *set = &_lines[static_cast<size_t>(setIndex(addr)) * _cfg.ways];
-    for (uint32_t w = 0; w < _cfg.ways; ++w) {
-        if (set[w].valid && set[w].tag == tag)
-            return &set[w];
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(uint64_t addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
-}
-
-Cache::Line &
-Cache::victimLine(uint64_t addr)
-{
-    Line *set = &_lines[static_cast<size_t>(setIndex(addr)) * _cfg.ways];
-    Line *victim = &set[0];
-    for (uint32_t w = 0; w < _cfg.ways; ++w) {
-        if (!set[w].valid)
-            return set[w];
-        if (set[w].lastUse < victim->lastUse)
-            victim = &set[w];
-    }
-    return *victim;
+    _setInit[idx >> 6] |= 1ull << (idx & 63);
+    Line *set = &_lines[static_cast<size_t>(idx) * _cfg.ways];
+    for (uint32_t w = 0; w < _cfg.ways; ++w)
+        set[w] = Line{ 0, false, false, 0 };
 }
 
 Cache::Mshr *
@@ -455,29 +435,6 @@ Cache::nextEventCycle(uint64_t cycle) const
             next = std::min(next, _wb[idx].freeCycle);
     }
     return next;
-}
-
-void
-Cache::reset()
-{
-    for (auto &l : _lines)
-        l = Line{};
-    for (auto &m : _mshrs)
-        m = Mshr{};
-    for (auto &e : _wb)
-        e = WbEntry{};
-    for (auto &b : _banks)
-        b = Bank{};
-    _mshrValidCount = 0;
-    _wbLive.clear();
-    _wbFree.clear();
-    for (uint32_t i = _cfg.writeBufferEntries; i > 0; --i)
-        _wbFree.push_back(static_cast<uint16_t>(i - 1));
-    _wbNextFree = ~0ull;
-    _portCycle = ~0ull;
-    _portsUsed = 0;
-    _useTick = 0;
-    _stats.clear();
 }
 
 } // namespace momsim::mem

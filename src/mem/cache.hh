@@ -22,12 +22,19 @@
  * any of these structures changes state, so the core's idle
  * fast-forward can skip quiescent stretches without overshooting a
  * memory event.
+ *
+ * Construction cost does not scale with capacity: the line array is
+ * allocated uninitialised, and a set's ways are initialised (invalid)
+ * the first time a lookup or an allocation reaches that set, tracked
+ * by one bit per set. A short run that touches a few hundred lines of
+ * the paper's 1 MB L2 never writes the other 8,000.
  */
 
 #ifndef MOMSIM_MEM_CACHE_HH
 #define MOMSIM_MEM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -139,15 +146,15 @@ class Cache
         return _stats.ratio("latencySum", "accesses");
     }
 
-    void reset();
-
   private:
+    /** Trivial on purpose: the array is allocated uninitialised and
+     *  setOf() initialises a set on first touch. */
     struct Line
     {
-        uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t lastUse = 0;
+        uint64_t tag;
+        bool valid;
+        bool dirty;
+        uint64_t lastUse;
     };
 
     struct Mshr
@@ -189,9 +196,50 @@ class Cache
                                                : (sliced % _cfg.banks));
     }
 
-    Line *findLine(uint64_t addr);
-    const Line *findLine(uint64_t addr) const;
-    Line &victimLine(uint64_t addr);
+    /** First way of @p addr's set, initialising the set on first touch. */
+    Line *
+    setOf(uint64_t addr)
+    {
+        uint32_t idx = setIndex(addr);
+        if (!(_setInit[idx >> 6] & (1ull << (idx & 63))))
+            initSet(idx);
+        return &_lines[static_cast<size_t>(idx) * _cfg.ways];
+    }
+    /** Mark set @p idx initialised and invalidate its ways. Out of line:
+     *  it runs once per set, and inlined it would bloat every lookup. */
+    [[gnu::cold]] void initSet(uint32_t idx);
+
+    Line *
+    findLine(uint64_t addr)
+    {
+        uint64_t tag = lineAddr(addr);
+        Line *set = setOf(addr);
+        for (uint32_t w = 0; w < _cfg.ways; ++w) {
+            if (set[w].valid && set[w].tag == tag)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    const Line *
+    findLine(uint64_t addr) const
+    {
+        return const_cast<Cache *>(this)->findLine(addr);
+    }
+
+    Line &
+    victimLine(uint64_t addr)
+    {
+        Line *set = setOf(addr);
+        Line *victim = &set[0];
+        for (uint32_t w = 0; w < _cfg.ways; ++w) {
+            if (!set[w].valid)
+                return set[w];
+            if (set[w].lastUse < victim->lastUse)
+                victim = &set[w];
+        }
+        return *victim;
+    }
 
     Mshr *findMshr(uint64_t lineAddr);
     const Mshr *findMshr(uint64_t lineAddr) const;
@@ -218,7 +266,8 @@ class Cache
     uint32_t _lineShift;
     uint32_t _numSets;
     uint64_t _bankMask;                 ///< banks-1 if pow2, else 0
-    std::vector<Line> _lines;           ///< sets x ways
+    std::unique_ptr<Line[]> _lines;     ///< sets x ways, see setOf
+    std::vector<uint64_t> _setInit;     ///< 1 bit per initialised set
     std::vector<Mshr> _mshrs;
     std::vector<WbEntry> _wb;
     std::vector<Bank> _banks;

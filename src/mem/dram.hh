@@ -97,14 +97,6 @@ class RambusChannel
     StatGroup &stats() { return _stats; }
     const StatGroup &stats() const { return _stats; }
 
-    void
-    reset()
-    {
-        _channelFree = 0;
-        _deviceFree.fill(0);
-        _stats.clear();
-    }
-
   private:
     DramConfig _cfg;
     uint64_t _devMask;          ///< numDevices-1 if pow2, else 0

@@ -5,12 +5,15 @@
  * lists, generation-tagged records surviving flush/slot recycling),
  * queue-saturation stall/resume, and the idle fast-forward — including
  * the load-bearing differential property that fast-forward on/off
- * produces bit-identical results.
+ * produces bit-identical results — plus the heap allocations a running
+ * point makes, counted by this binary's replacement operator new.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "core/simulation.hh"
@@ -18,6 +21,67 @@
 #include "trace/builder.hh"
 #include "trace/mom_emitter.hh"
 #include "trace/scalar_emitter.hh"
+#include "workloads/workload_repo.hh"
+
+// ---------------------------------------------------------------------------
+// Counting allocator: every operator new of this binary, counted only on
+// a thread that armed it (the workload repo synthesizes on other
+// threads). All unaligned forms are replaced together and sit on
+// malloc/free, so sanitizers see one consistent allocation family.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+thread_local bool tCountAllocations = false;
+thread_local uint64_t tAllocations = 0;
+
+void *
+countedAlloc(std::size_t n) noexcept
+{
+    if (tCountAllocations)
+        ++tAllocations;
+    return std::malloc(n ? n : 1);
+}
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    if (void *p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    if (void *p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, const std::nothrow_t &) noexcept { std::free(p); }
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace momsim::cpu
 {
@@ -435,6 +499,129 @@ TEST(KernelFastForward, EmptyProgramsInTheRotationStillComplete)
     core::RunResult run = sim.run(-1, 3'000'000);
     EXPECT_FALSE(run.hitCycleLimit);
     EXPECT_EQ(run.completions, 4);
+}
+
+/** Every data access is accepted and completes a fixed time later. */
+class FixedLatencyMemory : public mem::MemorySystem
+{
+  public:
+    static constexpr uint64_t kLatency = 60;
+
+    mem::MemReply
+    access(uint64_t cycle, const mem::MemAccess &req) override
+    {
+        if (!req.isWrite)
+            lastLoadReady = cycle + kLatency;
+        return { true, false, cycle + kLatency };
+    }
+
+    mem::FetchReply
+    ifetch(uint64_t cycle, uint64_t pc) override
+    {
+        (void)pc;
+        return { true, true, cycle };
+    }
+
+    double l1HitRate() const override { return 0.0; }
+    double icacheHitRate() const override { return 1.0; }
+    double l1AvgLatency() const override { return kLatency; }
+    StatGroup *statsOf(const char *) override { return nullptr; }
+
+    uint64_t lastLoadReady = 0;     ///< done cycle of the latest load
+};
+
+TEST(KernelReadiness, WideFanoutSpillsAndWakesEverySurvivor)
+{
+    // One slow load feeds 12 consumers, more than a slot's inline
+    // wakeup room, so its list spills. A mispredicted branch between
+    // the 6th and the 7th consumer squashes the younger six while the
+    // load is in flight; they re-register on re-dispatch, next to
+    // their own inert records. The layout invariants (spilled records
+    // match the counts, every record names its producer's thread) must
+    // hold on every cycle; no consumer may issue before the load's
+    // done cycle, and every surviving one must issue.
+    TraceBuilder tb("fanout", isa::SimdIsa::Mmx, kBase);
+    ScalarEmitter s(tb);
+    uint32_t buf = tb.alloc(4096);
+    IVal base = s.imm(static_cast<int32_t>(buf));
+    IVal v = s.loadI32(base, 64);
+    for (int i = 0; i < 6; ++i)
+        s.addi(v, i);
+    IVal c = base;
+    for (int i = 0; i < 4; ++i)
+        c = s.addi(c, 1);       // holds the branch until all dispatched
+    s.condBr(c, false);         // predicted taken: mispredicts, flushes
+    for (int i = 6; i < 12; ++i)
+        s.addi(v, i);
+    Program p = tb.take();
+    const uint64_t independent = 7;     // imm, load, 4 addi, branch
+    const uint64_t consumers = 12;
+
+    FixedLatencyMemory mem;
+    SmtCore core(CoreConfig::preset(1, isa::SimdIsa::Mmx), mem);
+    core.attachProgram(0, &p);
+    std::vector<std::pair<uint64_t, uint64_t>> issues;  // (cycle, count)
+    while (!core.threadIdle(0) && core.now() < 100'000) {
+        uint64_t cycle = core.now();
+        uint64_t before = core.stats().get("issued");
+        core.step();
+        issues.emplace_back(cycle, core.stats().get("issued") - before);
+        std::string issue = core.debugLayoutIssue();
+        ASSERT_TRUE(issue.empty()) << "@" << core.now() << ": " << issue;
+    }
+    ASSERT_TRUE(core.threadIdle(0)) << "core appears hung";
+    EXPECT_EQ(core.committedRecords(), p.size());
+    EXPECT_EQ(core.stats().get("flushes"), 1u);
+    EXPECT_EQ(core.stats().get("squashed"), 6u)
+        << "the flush did not squash exactly the younger consumers";
+
+    const uint64_t loadDone = mem.lastLoadReady;
+    ASSERT_GT(loadDone, 0u);
+    uint64_t early = 0, late = 0;
+    for (const auto &[cycle, count] : issues)
+        (cycle < loadDone ? early : late) += count;
+    EXPECT_EQ(early, independent) << "a consumer issued before its load";
+    EXPECT_EQ(late, consumers) << "a surviving consumer never woke";
+}
+
+/**
+ * Heap allocations on this thread while @p threads x @p model runs 300
+ * cycles of the tiny "paper" workload (the Simulation is built first;
+ * only its run is counted).
+ */
+uint64_t
+allocationsWhileRunning(workloads::WorkloadRepo &repo, int threads,
+                        mem::MemModel model)
+{
+    std::shared_ptr<const workloads::MediaWorkload> wl = repo.get("paper");
+    core::Simulation sim(CoreConfig::preset(threads, isa::SimdIsa::Mmx),
+                         model, wl->rotation(isa::SimdIsa::Mmx));
+    tAllocations = 0;
+    tCountAllocations = true;
+    core::RunResult run = sim.run(-1, 300);
+    tCountAllocations = false;
+    EXPECT_EQ(run.cycles, 300u);
+    return tAllocations;
+}
+
+TEST(KernelAllocations, ARunningPointAllocatesAlmostNothing)
+{
+    // What a point costs must scale with the work it simulates: wakeup
+    // lists live in the core arena and the issue queues are reserved
+    // at construction, so a 300-cycle run allocates next to nothing.
+    // With a std::vector of waiters per ROB slot, these four runs made
+    // 167 (1-thread perfect), 611 (8-thread perfect), 30 (1-thread
+    // conventional) and 54 (8-thread conventional) allocations; now
+    // they make 0, 3, 0 and 0. The counts do not depend on the host.
+    workloads::WorkloadRepo repo(workloads::WorkloadScale::Tiny);
+    for (int threads : { 1, 8 }) {
+        for (mem::MemModel model :
+             { mem::MemModel::Perfect, mem::MemModel::Conventional }) {
+            uint64_t n = allocationsWhileRunning(repo, threads, model);
+            EXPECT_LE(n, 32u) << threads << " threads, "
+                              << mem::toString(model) << " memory";
+        }
+    }
 }
 
 TEST(KernelFastForward, CycleLimitIsExactUnderFastForward)

@@ -12,10 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cfloat>
 #include <climits>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -676,6 +680,95 @@ TEST(ResultStore, LoadFileMergesForeignStores)
     EXPECT_NE(merged.lookup("kb"), nullptr);
     EXPECT_TRUE(merged.path().empty());
     EXPECT_FALSE(merged.loadFile("no/such/store.jsonl"));
+}
+
+TEST(ResultStore, ShortWriteStopsEveryStoreBoundToTheFile)
+{
+    // Two stores bound to one file, the second through a different
+    // spelling of the directory. A write cut short by the file size
+    // limit leaves a partial line at the end of the file; after it,
+    // neither store may append (a whole line after the partial one
+    // would put corruption mid-file, and loadFile refuses that), so
+    // the file reloads with only its tail truncated.
+    const std::string dir = "test_result_store.short";
+    const std::string file = dir + "/" + ResultStore::kFileName;
+    wipeStoreDir(dir);
+    ResultStore a, b;
+    ASSERT_TRUE(a.openDir(dir));
+    ASSERT_TRUE(b.openDir("./" + dir));
+    a.put("k1", sampleRow());
+    b.put("k2", sampleRow());
+    const std::string whole = readWhole(file);
+    ASSERT_EQ(std::count(whole.begin(), whole.end(), '\n'), 2);
+
+    // Let only 100 bytes of the next line fit. SIGXFSZ is ignored, so
+    // the write returns short instead of killing the process.
+    struct rlimit saved {};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    struct rlimit limited = saved;
+    limited.rlim_cur = static_cast<rlim_t>(whole.size() + 100);
+    void (*previous)(int) = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+    a.put("k3", sampleRow());
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, previous);
+
+    const std::string cut = readWhole(file);
+    ASSERT_EQ(cut.size(), whole.size() + 100);
+    b.put("k4", sampleRow());
+    a.put("k5", sampleRow());
+    EXPECT_EQ(readWhole(file), cut) << "a store appended after a short write";
+    // Rows still land in memory.
+    EXPECT_EQ(a.size(), 3u);
+    EXPECT_EQ(b.size(), 2u);
+
+    ResultStore reloaded;
+    ASSERT_TRUE(reloaded.loadFile(file));
+    EXPECT_EQ(reloaded.size(), 2u);
+    EXPECT_NE(reloaded.lookup("k1"), nullptr);
+    EXPECT_NE(reloaded.lookup("k2"), nullptr);
+}
+
+TEST(ResultStore, WipedAndReboundDirectoryAppendsToTheNewFile)
+{
+    // The appender holds its descriptor while a store is bound. A
+    // directory wiped and bound again must get its rows in the new
+    // file, both from the new store and from one that stayed bound.
+    const std::string dir = "test_result_store.rebind";
+    const std::string file = dir + "/" + ResultStore::kFileName;
+    wipeStoreDir(dir);
+    ResultStore live;
+    ASSERT_TRUE(live.openDir(dir));
+    live.put("old", sampleRow());
+    ASSERT_EQ(std::remove(file.c_str()), 0);
+    ASSERT_EQ(::rmdir(dir.c_str()), 0);
+    {
+        ResultStore fresh;
+        ASSERT_TRUE(fresh.openDir(dir));    // recreates the directory
+        EXPECT_EQ(fresh.size(), 0u);
+        fresh.put("new", sampleRow());
+    }
+    live.put("live", sampleRow());
+    {
+        ResultStore reloaded;
+        ASSERT_TRUE(reloaded.loadFile(file));
+        EXPECT_EQ(reloaded.size(), 2u);
+        EXPECT_EQ(reloaded.lookup("old"), nullptr);
+        EXPECT_NE(reloaded.lookup("new"), nullptr);
+        EXPECT_NE(reloaded.lookup("live"), nullptr);
+    }
+
+    // And once no store is bound any more: wipe, bind, put.
+    ASSERT_TRUE(live.openDir(dir + ".elsewhere"));
+    ASSERT_EQ(std::remove(file.c_str()), 0);
+    ASSERT_EQ(::rmdir(dir.c_str()), 0);
+    ResultStore again;
+    ASSERT_TRUE(again.openDir(dir));
+    again.put("again", sampleRow());
+    ResultStore reloaded;
+    ASSERT_TRUE(reloaded.loadFile(file));
+    EXPECT_EQ(reloaded.size(), 1u);
+    EXPECT_NE(reloaded.lookup("again"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+
+#include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -610,6 +614,48 @@ TEST(SimService, GaugesReturnToZeroAfterEveryCompletion)
         }
     }
     EXPECT_EQ(ok, 6u);
+}
+
+/** Entries in /proc/self/fd (the directory's own descriptor included). */
+int
+openDescriptors()
+{
+    DIR *d = ::opendir("/proc/self/fd");
+    if (!d)
+        return -1;
+    int n = 0;
+    while (const dirent *e = ::readdir(d))
+        n += e->d_name[0] != '.';
+    ::closedir(d);
+    return n;
+}
+
+TEST(SimService, RequestPrivateStoresCloseTheirFiles)
+{
+    // Each request naming its own cacheDir binds a private store that
+    // holds its file open while bound; once the request completes,
+    // the store goes and so does the descriptor. A daemon serving
+    // many distinct cacheDirs must not accumulate them.
+    SimService service;
+    ASSERT_TRUE(service.submit(tinyRequest("warm")).ok);
+    const int baseline = openDescriptors();
+    ASSERT_GT(baseline, 0);
+    for (int i = 0; i < 3; ++i) {
+        SimRequest req = tinyRequest(strfmt("private%d", i));
+        req.cacheDir = strfmt("test_svc.private%d", i);
+        std::remove((req.cacheDir + "/results.jsonl").c_str());
+        SimResponse resp = service.submit(req);
+        ASSERT_TRUE(resp.ok) << resp.errorMessage;
+        EXPECT_EQ(resp.simulatedPoints, 4u);
+    }
+    // The completion that owns a store is released just after it
+    // answers, on whichever thread finished the request.
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::seconds(10);
+    while (openDescriptors() > baseline &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(openDescriptors(), baseline);
 }
 
 TEST(SimService, BenchRequestRunsTheRegisteredGrid)
